@@ -244,21 +244,6 @@ impl<'a> IncrementalDynamics<'a> {
         &self.state
     }
 
-    /// Discard every incrementally maintained view and rebuild the engine
-    /// over `state` from scratch, as if freshly constructed with
-    /// [`new`](Self::new). The serving layer's delta sessions call this
-    /// after replaying a journal onto a patched instance: the caches this
-    /// engine carries (usage lists, potential, bound anchors, maintained
-    /// certifier view) are all derived from `(game, b, state)` at
-    /// construction time, so a wholesale rebuild is the only adoption that
-    /// is *specified* to be bitwise-equal to a cold start — the property
-    /// the divergence audits check.
-    pub fn readopt(&mut self, state: State) {
-        let game = self.game;
-        let b = self.b;
-        *self = Self::new(game, state, b);
-    }
-
     /// Consume the engine, returning the final state.
     pub fn into_state(self) -> State {
         self.state
@@ -883,53 +868,6 @@ mod tests {
                 engine.state(),
                 &b
             ));
-        }
-    }
-
-    #[test]
-    fn readopt_is_indistinguishable_from_a_fresh_engine() {
-        // Dirty an engine's caches with random moves, then `readopt` it
-        // onto a fresh state and race it against a newly constructed
-        // engine over the same state: every subsequent decision, cost and
-        // potential must agree to the bit. This is the contract the
-        // serving layer's journal replay leans on.
-        let mut rng = StdRng::seed_from_u64(619);
-        for _ in 0..20 {
-            let (game, state, b) = random_setup(&mut rng, 3..9);
-            let mut engine = IncrementalDynamics::new(&game, state, &b);
-            for _ in 0..rng.random_range(0..32usize) {
-                let i = rng.random_range(0..game.num_players());
-                let _ = engine.try_improve(i);
-            }
-            // The engine's own (post-moves) state stands in for the
-            // replayed journal's outcome.
-            let state2 = engine.state().clone();
-            let mut fresh = IncrementalDynamics::new(&game, state2.clone(), &b);
-            engine.readopt(state2);
-            assert_eq!(
-                engine.potential().to_bits(),
-                fresh.potential().to_bits(),
-                "Φ diverged at adoption"
-            );
-            for _ in 0..64 {
-                let i = rng.random_range(0..game.num_players());
-                let a = engine.try_improve(i);
-                let f = fresh.try_improve(i);
-                match (a, f) {
-                    (None, None) => {}
-                    (Some(a), Some(f)) => {
-                        assert_eq!(a.player, f.player);
-                        assert_eq!(a.new_cost.to_bits(), f.new_cost.to_bits());
-                    }
-                    (a, f) => panic!("readopted {a:?} vs fresh {f:?}"),
-                }
-                assert_eq!(engine.state().path(i), fresh.state().path(i));
-                assert_eq!(engine.potential().to_bits(), fresh.potential().to_bits());
-                assert_eq!(
-                    engine.is_certified_equilibrium(),
-                    fresh.is_certified_equilibrium()
-                );
-            }
         }
     }
 

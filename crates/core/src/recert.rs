@@ -330,23 +330,6 @@ impl IncrementalCertifier {
         true
     }
 
-    /// Re-adopt after the *instance itself* changed (a serving-layer
-    /// delta patched a weight, failed an edge, or admitted a player):
-    /// every cached structural fact — tree shape, margins, bounds — may
-    /// be stale, so the old view is discarded wholesale and `state` is
-    /// adopted against the patched `game`/`b` from scratch. Equivalent
-    /// to [`invalidate`](Self::invalidate) + [`adopt`](Self::adopt), and
-    /// the counters record both halves; returns the resulting validity.
-    pub fn readopt(
-        &mut self,
-        game: &NetworkDesignGame,
-        state: &State,
-        b: &SubsidyAssignment,
-    ) -> bool {
-        self.invalidate();
-        self.adopt(game, state, b)
-    }
-
     /// Absorb one applied strategy change. `dropped`/`added` are the
     /// edges that left/entered the *established* set (usage `1 → 0` and
     /// `0 → 1`), as tracked by the engine's own O(Δ) bookkeeping. An
@@ -746,52 +729,6 @@ mod tests {
                     assert_matches_scratch(&mut engine, &game, &b, ex);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn readopt_is_bitwise_equal_to_a_fresh_certifier() {
-        // The serving layer's delta sessions re-adopt a certifier onto a
-        // *patched* instance; the contract is that the re-adopted view is
-        // indistinguishable from a brand-new certifier adopting the same
-        // `(game, state, b)` — same validity, bit-identical witnesses.
-        let mut rng = StdRng::seed_from_u64(1600);
-        for _ in 0..40 {
-            let n = rng.random_range(4..12usize);
-            let g1 = generators::random_connected(n, 0.5, &mut rng, 0.0..3.0);
-            let game1 = NetworkDesignGame::broadcast(g1, NodeId(0)).unwrap();
-            let tree1 = random_tree(game1.graph(), &mut rng);
-            let (state1, _) = State::from_tree(&game1, &tree1).unwrap();
-            let b1 = random_subsidies(game1.graph(), &mut rng);
-            let mut cert = IncrementalCertifier::new();
-            assert!(cert.adopt(&game1, &state1, &b1));
-            let _ = cert.certify(&game1, &b1); // warm every margin
-                                               // Patch: an unrelated instance stands in for the delta result.
-            let n2 = rng.random_range(4..12usize);
-            let g2 = generators::random_connected(n2, 0.6, &mut rng, 0.0..3.0);
-            let game2 = NetworkDesignGame::broadcast(g2, NodeId(0)).unwrap();
-            let tree2 = random_tree(game2.graph(), &mut rng);
-            let (state2, _) = State::from_tree(&game2, &tree2).unwrap();
-            let b2 = random_subsidies(game2.graph(), &mut rng);
-            let mut fresh = IncrementalCertifier::new();
-            let fresh_ok = fresh.adopt(&game2, &state2, &b2);
-            let readopt_ok = cert.readopt(&game2, &state2, &b2);
-            assert_eq!(readopt_ok, fresh_ok);
-            assert_eq!(cert.is_valid(), fresh.is_valid());
-            match (cert.certify(&game2, &b2), fresh.certify(&game2, &b2)) {
-                (BatchCertification::Equilibrium, BatchCertification::Equilibrium)
-                | (BatchCertification::NotApplicable, BatchCertification::NotApplicable) => {}
-                (BatchCertification::Violation(a), BatchCertification::Violation(f)) => {
-                    assert_eq!((a.node, a.via, a.to), (f.node, f.via, f.to));
-                    assert_eq!(a.lhs.to_bits(), f.lhs.to_bits());
-                    assert_eq!(a.rhs.to_bits(), f.rhs.to_bits());
-                }
-                (a, f) => panic!("readopted {a:?} vs fresh {f:?}"),
-            }
-            assert_eq!(
-                cert.equilibrium(&game2, &b2),
-                fresh.equilibrium(&game2, &b2)
-            );
         }
     }
 

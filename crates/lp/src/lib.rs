@@ -1,9 +1,10 @@
 //! `ndg-lp` — linear-programming substrate.
 //!
-//! A from-scratch dense two-phase simplex (Dantzig pricing with Bland's-rule
-//! anti-cycling fallback), an LP builder with box bounds, solution
-//! re-verification, and a generic cutting-plane driver implementing the
-//! separation-oracle loop the paper uses for LP (1) in Theorem 1.
+//! A from-scratch two-phase simplex on a dense tableau with sparse-row
+//! pivots (Dantzig pricing with Bland's-rule anti-cycling fallback), an LP
+//! builder with box bounds, solution re-verification, and a generic
+//! cutting-plane driver implementing the separation-oracle loop the paper
+//! uses for LP (1) in Theorem 1.
 
 pub mod cutting;
 pub mod problem;
@@ -20,3 +21,5 @@ pub use solution::{LpSolution, LpStatus};
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod simplex_oracle;

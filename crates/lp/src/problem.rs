@@ -2,7 +2,8 @@
 //!
 //! The three subsidy LPs of the paper — the exponential LP (1), the
 //! polynomial reformulation LP (2) and the broadcast LP (3) — are all built
-//! through this interface. Rows are stored sparsely; the solver densifies.
+//! through this interface. Rows are stored sparsely; the solver copies them
+//! into a dense tableau.
 
 use std::fmt;
 

@@ -1,4 +1,4 @@
-//! Two-phase primal simplex on a dense tableau.
+//! Two-phase primal simplex on a dense tableau with sparse-row pivots.
 //!
 //! Scope: the subsidy LPs have at most a few thousand rows/columns, so a
 //! dense tableau with Dantzig pricing (Bland's rule fallback for
@@ -8,7 +8,22 @@
 //!
 //! Model handled: minimize `cᵀx`, rows `≤ / ≥ / =`, box bounds
 //! `lo ≤ x ≤ hi`. Bounds are normalized by shifting to `y = x − lo ≥ 0`;
-//! finite upper bounds become explicit rows.
+//! finite upper bounds become explicit rows. The tableau is filled
+//! straight from the sparse rows.
+//!
+//! The tableau is stored densely, but a pivot touches only nonzeros: the
+//! column scan before the ratio test collects the rows with a nonzero in
+//! the entering column, the pivot row is scaled on its nonzeros only, and
+//! elimination updates those columns on the collected rows and the two
+//! cost rows. The subsidy LPs are very sparse (an LP (2) row has at most
+//! three structural nonzeros), so a pivot costs about `|row| × |column|`
+//! updates instead of the whole tableau.
+//!
+//! A skipped cell would have been `t[r][c] −= factor · 0`, which leaves
+//! every nonzero exactly as it is and can at most flip the sign of a zero.
+//! Pricing, the ratio test and extraction compare and divide only in ways
+//! that cannot see the sign of a zero, so the pivot sequence, the solution
+//! and the objective are bit-for-bit those of a full dense update.
 
 use crate::problem::{LinearProgram, LpError, RowOp};
 use crate::solution::{LpSolution, LpStatus};
@@ -21,44 +36,52 @@ const COST_EPS: f64 = 1e-9;
 const FEAS_EPS: f64 = 1e-7;
 /// Iterations of Dantzig pricing before switching to Bland's rule.
 const DANTZIG_LIMIT_FACTOR: usize = 20;
+/// Elimination factors at most this large are flushed to zero.
+const DROP_EPS: f64 = 1e-14;
+
+/// A normalized row: (sparse coefficients, op, rhs, sign).
+type NormRow<'a> = (&'a [(usize, f64)], RowOp, f64, f64);
 
 /// Solve `lp` with the two-phase simplex.
 pub fn solve(lp: &LinearProgram) -> Result<LpSolution, LpError> {
+    solve_counting_pivots(lp).map(|(sol, _)| sol)
+}
+
+/// [`solve`], also returning the number of pivots it made.
+pub(crate) fn solve_counting_pivots(lp: &LinearProgram) -> Result<(LpSolution, usize), LpError> {
     let n_struct = lp.num_vars();
     if n_struct == 0 {
-        return Ok(LpSolution {
+        let sol = LpSolution {
             status: LpStatus::Optimal,
             x: Vec::new(),
             objective: 0.0,
-        });
+        };
+        return Ok((sol, 0));
     }
 
-    // Normalized rows over shifted variables y = x − lo:
-    //   (dense coeffs, op, rhs), rhs made ≥ 0 by row negation.
+    // Normalized rows over shifted variables y = x − lo, rhs made ≥ 0 by
+    // negating the row (sign −1).
     let lo = lp.lower_bounds();
     let hi = lp.upper_bounds();
-    let mut norm_rows: Vec<(Vec<f64>, RowOp, f64)> = Vec::new();
+    let bound_coeffs: Vec<[(usize, f64); 1]> = (0..n_struct)
+        .filter(|&j| hi[j].is_finite())
+        .map(|j| [(j, 1.0)])
+        .collect();
+    let mut norm_rows: Vec<NormRow> = Vec::new();
     for row in lp.rows() {
-        let mut dense = vec![0.0; n_struct];
         let mut shift = 0.0;
         for &(j, a) in &row.coeffs {
-            dense[j] += a;
             shift += a * lo[j];
         }
-        norm_rows.push((dense, row.op, row.rhs - shift));
+        norm_rows.push((&row.coeffs, row.op, row.rhs - shift, 1.0));
     }
-    for j in 0..n_struct {
-        if hi[j].is_finite() {
-            let mut dense = vec![0.0; n_struct];
-            dense[j] = 1.0;
-            norm_rows.push((dense, RowOp::Le, hi[j] - lo[j]));
-        }
+    for coeffs in &bound_coeffs {
+        let j = coeffs[0].0;
+        norm_rows.push((coeffs, RowOp::Le, hi[j] - lo[j], 1.0));
     }
-    for (dense, op, rhs) in norm_rows.iter_mut() {
+    for (_, op, rhs, sign) in norm_rows.iter_mut() {
         if *rhs < 0.0 {
-            for a in dense.iter_mut() {
-                *a = -*a;
-            }
+            *sign = -1.0;
             *rhs = -*rhs;
             *op = match *op {
                 RowOp::Le => RowOp::Ge,
@@ -72,48 +95,57 @@ pub fn solve(lp: &LinearProgram) -> Result<LpSolution, LpError> {
     // Column layout: [structural | slack/surplus | artificial].
     let n_slack = norm_rows
         .iter()
-        .filter(|(_, op, _)| *op != RowOp::Eq)
+        .filter(|(_, op, _, _)| *op != RowOp::Eq)
         .count();
     // Artificials: for ≥ and = rows. For ≤ rows the slack is the initial basis.
     let n_art = norm_rows
         .iter()
-        .filter(|(_, op, _)| *op != RowOp::Le)
+        .filter(|(_, op, _, _)| *op != RowOp::Le)
         .count();
-    let n_total = n_struct + n_slack + n_art;
+    // Artificials are the trailing columns: column j is artificial iff
+    // j ≥ n_real.
+    let n_real = n_struct + n_slack;
+    let n_total = n_real + n_art;
     let width = n_total + 1; // + rhs column
 
-    // Tableau rows 0..m are constraints; row m is the phase-II cost row;
-    // row m+1 is the phase-I cost row.
-    let mut t = vec![0.0f64; (m + 2) * width];
+    let mut tab = Tableau {
+        t: vec![0.0f64; (m + 2) * width],
+        width,
+        m,
+        basis: vec![usize::MAX; m],
+        col_rows: Vec::with_capacity(m),
+        row_nz: Vec::with_capacity(width),
+        pivots: 0,
+    };
+    let t = &mut tab.t;
     let idx = |r: usize, c: usize| r * width + c;
-    let mut basis = vec![usize::MAX; m];
-    let mut is_artificial = vec![false; n_total];
 
     let mut next_slack = n_struct;
-    let mut next_art = n_struct + n_slack;
-    for (r, (dense, op, rhs)) in norm_rows.iter().enumerate() {
-        for (j, &a) in dense.iter().enumerate() {
-            t[idx(r, j)] = a;
+    let mut next_art = n_real;
+    for (r, &(coeffs, op, rhs, sign)) in norm_rows.iter().enumerate() {
+        // Repeated indices accumulate in row order; a negated row adds
+        // the negated coefficients, which rounds exactly as negating the
+        // accumulated sum.
+        for &(j, a) in coeffs {
+            t[idx(r, j)] += sign * a;
         }
-        t[idx(r, n_total)] = *rhs;
+        t[idx(r, n_total)] = rhs;
         match op {
             RowOp::Le => {
                 t[idx(r, next_slack)] = 1.0;
-                basis[r] = next_slack;
+                tab.basis[r] = next_slack;
                 next_slack += 1;
             }
             RowOp::Ge => {
                 t[idx(r, next_slack)] = -1.0;
                 next_slack += 1;
                 t[idx(r, next_art)] = 1.0;
-                is_artificial[next_art] = true;
-                basis[r] = next_art;
+                tab.basis[r] = next_art;
                 next_art += 1;
             }
             RowOp::Eq => {
                 t[idx(r, next_art)] = 1.0;
-                is_artificial[next_art] = true;
-                basis[r] = next_art;
+                tab.basis[r] = next_art;
                 next_art += 1;
             }
         }
@@ -125,13 +157,11 @@ pub fn solve(lp: &LinearProgram) -> Result<LpSolution, LpError> {
         t[idx(m, j)] = c;
     }
     // Phase-I cost row: sum of artificials, then eliminate basic artificials.
-    for j in 0..n_total {
-        if is_artificial[j] {
-            t[idx(m + 1, j)] = 1.0;
-        }
+    for j in n_real..n_total {
+        t[idx(m + 1, j)] = 1.0;
     }
     for r in 0..m {
-        if is_artificial[basis[r]] {
+        if tab.basis[r] >= n_real {
             for c in 0..width {
                 t[idx(m + 1, c)] -= t[idx(r, c)];
             }
@@ -143,163 +173,179 @@ pub fn solve(lp: &LinearProgram) -> Result<LpSolution, LpError> {
 
     // ---- Phase I ----
     if n_art > 0 {
-        run_phase(
-            &mut t,
-            &mut basis,
-            m,
-            n_total,
-            width,
-            m + 1,
-            &|_j| true,
-            max_iters,
-            dantzig_limit,
-        )?;
-        let phase1_obj = -t[idx(m + 1, n_total)];
+        tab.run_phase(m + 1, n_total, max_iters, dantzig_limit)?;
+        let phase1_obj = -tab.t[idx(m + 1, n_total)];
         if phase1_obj > FEAS_EPS {
-            return Ok(LpSolution {
+            let sol = LpSolution {
                 status: LpStatus::Infeasible,
                 x: Vec::new(),
                 objective: f64::NAN,
-            });
+            };
+            return Ok((sol, tab.pivots));
         }
         // Drive remaining artificials out of the basis where possible.
+        // If no pivot exists the row is redundant; the artificial stays
+        // basic at value ~0, which is harmless.
         for r in 0..m {
-            if is_artificial[basis[r]] {
-                let mut pivoted = false;
-                for j in 0..n_total {
-                    if !is_artificial[j] && t[idx(r, j)].abs() > PIVOT_EPS {
-                        pivot(&mut t, &mut basis, m, width, r, j);
-                        pivoted = true;
-                        break;
-                    }
+            if tab.basis[r] >= n_real {
+                let row = &tab.t[idx(r, 0)..idx(r, n_real)];
+                if let Some(j) = row.iter().position(|a| a.abs() > PIVOT_EPS) {
+                    tab.collect_column(j);
+                    tab.pivot(r, j);
                 }
-                // If no pivot exists the row is redundant; the artificial
-                // stays basic at value ~0, which is harmless.
-                let _ = pivoted;
             }
         }
     }
 
     // ---- Phase II ----
-    let allowed = |j: usize| !is_artificial[j];
-    let unbounded = run_phase(
-        &mut t,
-        &mut basis,
-        m,
-        n_total,
-        width,
-        m,
-        &allowed,
-        max_iters,
-        dantzig_limit,
-    )?;
+    let unbounded = tab.run_phase(m, n_real, max_iters, dantzig_limit)?;
     if unbounded {
-        return Ok(LpSolution {
+        let sol = LpSolution {
             status: LpStatus::Unbounded,
             x: Vec::new(),
             objective: f64::NEG_INFINITY,
-        });
+        };
+        return Ok((sol, tab.pivots));
     }
 
     // Extract shifted solution, then unshift.
     let mut y = vec![0.0f64; n_total];
     for r in 0..m {
-        y[basis[r]] = t[idx(r, n_total)];
+        y[tab.basis[r]] = tab.t[idx(r, n_total)];
     }
     let x: Vec<f64> = (0..n_struct).map(|j| lo[j] + y[j].max(0.0)).collect();
     let objective = lp.objective_at(&x);
-    Ok(LpSolution {
+    let sol = LpSolution {
         status: LpStatus::Optimal,
         x,
         objective,
-    })
+    };
+    Ok((sol, tab.pivots))
 }
 
-/// Run simplex iterations minimizing the cost row `cost_r`. Returns
-/// `Ok(true)` if unbounded, `Ok(false)` at optimality.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    t: &mut [f64],
-    basis: &mut [usize],
-    m: usize,
-    n_total: usize,
+/// A dense `(m + 2) × width` tableau: rows `0..m` are constraints, row `m`
+/// the phase-II cost row, row `m + 1` the phase-I cost row; the last
+/// column holds the right-hand sides.
+struct Tableau {
+    t: Vec<f64>,
     width: usize,
-    cost_r: usize,
-    allowed: &dyn Fn(usize) -> bool,
-    max_iters: usize,
-    dantzig_limit: usize,
-) -> Result<bool, LpError> {
-    let idx = |r: usize, c: usize| r * width + c;
-    for iter in 0..max_iters {
-        // Entering column.
-        let bland = iter >= dantzig_limit;
-        let mut enter: Option<usize> = None;
-        let mut best = -COST_EPS;
-        for j in 0..n_total {
-            if !allowed(j) {
+    m: usize,
+    basis: Vec<usize>,
+    /// Constraint rows with a nonzero in the column about to enter.
+    col_rows: Vec<usize>,
+    /// `(column, value)` of the scaled pivot row's nonzeros, the pivot
+    /// column excluded.
+    row_nz: Vec<(usize, f64)>,
+    pivots: usize,
+}
+
+impl Tableau {
+    /// Run simplex iterations minimizing the cost row `cost_r`, pricing
+    /// columns `0..limit`. Returns `Ok(true)` if unbounded, `Ok(false)` at
+    /// optimality.
+    fn run_phase(
+        &mut self,
+        cost_r: usize,
+        limit: usize,
+        max_iters: usize,
+        dantzig_limit: usize,
+    ) -> Result<bool, LpError> {
+        let width = self.width;
+        let rhs = width - 1;
+        for iter in 0..max_iters {
+            // Entering column.
+            let bland = iter >= dantzig_limit;
+            let mut enter: Option<usize> = None;
+            let mut best = -COST_EPS;
+            let costs = &self.t[cost_r * width..cost_r * width + limit];
+            for (j, &rc) in costs.iter().enumerate() {
+                if rc < best {
+                    enter = Some(j);
+                    if bland {
+                        break; // Bland: first improving index
+                    }
+                    best = rc;
+                }
+            }
+            let Some(enter) = enter else {
+                return Ok(false); // optimal
+            };
+            // Ratio test, over the rows with a nonzero in the column.
+            self.collect_column(enter);
+            let mut leave: Option<usize> = None;
+            let mut best_ratio = f64::INFINITY;
+            for &r in &self.col_rows {
+                let a = self.t[r * width + enter];
+                if a > PIVOT_EPS {
+                    let ratio = self.t[r * width + rhs] / a;
+                    let better = ratio < best_ratio - 1e-12
+                        || (ratio < best_ratio + 1e-12
+                            && leave.is_some_and(|l| self.basis[r] < self.basis[l]));
+                    if better {
+                        best_ratio = ratio;
+                        leave = Some(r);
+                    }
+                }
+            }
+            let Some(leave) = leave else {
+                return Ok(true); // unbounded in this phase
+            };
+            self.pivot(leave, enter);
+        }
+        Err(LpError::IterationLimit)
+    }
+
+    /// Record in `col_rows` the constraint rows with a nonzero in `col`.
+    fn collect_column(&mut self, col: usize) {
+        let width = self.width;
+        // Branch-free compaction (every row is written, only nonzeros
+        // advance): the nonzeros are few and scattered, so a branch per
+        // row would mispredict on most of them.
+        self.col_rows.resize(self.m, 0);
+        let mut len = 0;
+        for r in 0..self.m {
+            self.col_rows[len] = r;
+            len += usize::from(self.t[r * width + col] != 0.0);
+        }
+        self.col_rows.truncate(len);
+    }
+
+    /// Pivot on `(row, col)`: normalize the pivot row and eliminate the
+    /// column from the rows [`collect_column`](Self::collect_column)
+    /// recorded for `col` and from both cost rows. Every other row
+    /// already holds a zero in `col`.
+    fn pivot(&mut self, row: usize, col: usize) {
+        let width = self.width;
+        let t = &mut self.t;
+        let piv = t[row * width + col];
+        debug_assert!(piv.abs() > PIVOT_EPS, "pivot element too small: {piv}");
+        let inv = 1.0 / piv;
+        self.row_nz.clear();
+        for (c, a) in t[row * width..(row + 1) * width].iter_mut().enumerate() {
+            if *a != 0.0 {
+                *a *= inv;
+                if c != col {
+                    self.row_nz.push((c, *a));
+                }
+            }
+        }
+        t[row * width + col] = 1.0;
+        let others = self.col_rows.iter().copied().filter(|&r| r != row);
+        for r in others.chain([self.m, self.m + 1]) {
+            let base = r * width;
+            let factor = t[base + col];
+            if factor.abs() <= DROP_EPS {
+                t[base + col] = 0.0;
                 continue;
             }
-            let rc = t[idx(cost_r, j)];
-            if rc < best {
-                enter = Some(j);
-                if bland {
-                    break; // Bland: first improving index
-                }
-                best = rc;
+            for &(c, a) in &self.row_nz {
+                t[base + c] -= factor * a;
             }
+            t[base + col] = 0.0;
         }
-        let Some(enter) = enter else {
-            return Ok(false); // optimal
-        };
-        // Ratio test.
-        let mut leave: Option<usize> = None;
-        let mut best_ratio = f64::INFINITY;
-        for r in 0..m {
-            let a = t[idx(r, enter)];
-            if a > PIVOT_EPS {
-                let ratio = t[idx(r, n_total)] / a;
-                let better = ratio < best_ratio - 1e-12
-                    || (ratio < best_ratio + 1e-12 && leave.is_some_and(|l| basis[r] < basis[l]));
-                if better {
-                    best_ratio = ratio;
-                    leave = Some(r);
-                }
-            }
-        }
-        let Some(leave) = leave else {
-            return Ok(true); // unbounded in this phase
-        };
-        pivot(t, basis, m, width, leave, enter);
+        self.basis[row] = col;
+        self.pivots += 1;
     }
-    Err(LpError::IterationLimit)
-}
-
-/// Pivot on `(row, col)`: normalize the pivot row and eliminate the column
-/// from all other rows (including both cost rows).
-fn pivot(t: &mut [f64], basis: &mut [usize], m: usize, width: usize, row: usize, col: usize) {
-    let idx = |r: usize, c: usize| r * width + c;
-    let piv = t[idx(row, col)];
-    debug_assert!(piv.abs() > PIVOT_EPS, "pivot element too small: {piv}");
-    let inv = 1.0 / piv;
-    for c in 0..width {
-        t[idx(row, c)] *= inv;
-    }
-    t[idx(row, col)] = 1.0;
-    for r in 0..m + 2 {
-        if r == row {
-            continue;
-        }
-        let factor = t[idx(r, col)];
-        if factor.abs() <= 1e-14 {
-            t[idx(r, col)] = 0.0;
-            continue;
-        }
-        for c in 0..width {
-            t[idx(r, c)] -= factor * t[idx(row, c)];
-        }
-        t[idx(r, col)] = 0.0;
-    }
-    basis[row] = col;
 }
 
 #[cfg(test)]

@@ -55,6 +55,38 @@ const STAGE_FIELD_NAMES: [&str; 7] = [
     "us_parse", "us_canon", "us_cache", "us_delta", "us_solve", "us_unmap", "us_write",
 ];
 
+/// The executor tasks of a batch, as line indices: the lines naming one
+/// `session=` form one task in wire order, placed at its first line;
+/// every other line is a task alone. `None` if no line names a session.
+fn session_tasks(lines: &[String]) -> Option<Vec<Vec<usize>>> {
+    if lines.iter().all(|l| session_field(l).is_none()) {
+        return None;
+    }
+    let mut tasks: Vec<Vec<usize>> = Vec::with_capacity(lines.len());
+    let mut task_of: Vec<(&str, usize)> = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(sid) = session_field(line) else {
+            tasks.push(vec![i]);
+            continue;
+        };
+        match task_of.iter().find(|(s, _)| *s == sid) {
+            Some(&(_, t)) => tasks[t].push(i),
+            None => {
+                task_of.push((sid, tasks.len()));
+                tasks.push(vec![i]);
+            }
+        }
+    }
+    Some(tasks)
+}
+
+/// The raw `session=` value of a request line, found without parsing it
+/// (no other field can contain `;session=`).
+fn session_field(line: &str) -> Option<&str> {
+    let (_, rest) = line.split_once(";session=")?;
+    Some(rest.split_once(';').map_or(rest, |(sid, _)| sid))
+}
+
 /// Terminal classification of a finished response line for the wide
 /// event: `ok`, `deadline`, `shed`, `internal`, `session` (any
 /// session-lifecycle refusal), or `error` for the remaining client
@@ -360,12 +392,40 @@ impl Router {
     /// Handle a batch of request lines on the executor: responses come
     /// back in request order, each worker reuses one pooled Dijkstra
     /// workspace for its whole contiguous chunk.
+    ///
+    /// Lines that name the same `session=` run in wire order, inside one
+    /// executor task; every other line is a task of its own. A batch
+    /// that names no session, or runs on a sequential executor, is
+    /// handled line by line in wire order.
     pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        self.ex.par_map_with(
-            lines,
+        let tasks = if self.ex.threads() > 1 {
+            session_tasks(lines)
+        } else {
+            None
+        };
+        let Some(tasks) = tasks else {
+            return self.ex.par_map_with(
+                lines,
+                || self.pool.acquire(),
+                |ws, line| self.handle_with(line, ws),
+            );
+        };
+        let answers = self.ex.par_map_with(
+            &tasks,
             || self.pool.acquire(),
-            |ws, line| self.handle_with(line, ws),
-        )
+            |ws, task| {
+                task.iter()
+                    .map(|&i| self.handle_with(&lines[i], ws))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut out = vec![String::new(); lines.len()];
+        for (task, answers) in tasks.iter().zip(answers) {
+            for (&i, answer) in task.iter().zip(answers) {
+                out[i] = answer;
+            }
+        }
+        out
     }
 
     fn handle_with(&self, line: &str, ws: &mut DijkstraWorkspace) -> String {
@@ -1986,6 +2046,76 @@ mod tests {
             (0, 1, 1, 2, 1),
             "{snap:?}"
         );
+    }
+
+    #[test]
+    fn same_session_lines_in_one_batch_run_in_wire_order() {
+        // Three sessions, then one batch that interleaves each session's
+        // delta×4, resync and close. At any executor width every line
+        // must answer exactly what it answers when the lines run one at a
+        // time in wire order.
+        let open_three = |r: &Router| -> Vec<(String, usize)> {
+            [5usize, 6, 7]
+                .iter()
+                .map(|&n| {
+                    let open = r.handle_line(&format!(
+                        "ndg1;id=o{n};method=open;tree={};game={}",
+                        tree_ids(n),
+                        cycle_game_spec(n)
+                    ));
+                    (header(&open, "session").unwrap(), n)
+                })
+                .collect()
+        };
+        let batch = |sessions: &[(String, usize)]| -> Vec<String> {
+            let mut lines = Vec::new();
+            for k in 0..6 {
+                for (sid, n) in sessions {
+                    let id = format!("ndg1;id={sid}k{k}");
+                    lines.push(match k {
+                        0 => format!(
+                            "{id};method=delta;session={sid};epoch=0;delta=patch;edge={};w=0.25",
+                            n - 1
+                        ),
+                        1 => format!("{id};method=delta;session={sid};epoch=1;delta=fail;edge=0"),
+                        2 => format!("{id};method=resync;session={sid}"),
+                        3 => format!(
+                            "{id};method=delta;session={sid};epoch=2;delta=patch;edge=1;w=3"
+                        ),
+                        4 => format!(
+                            "{id};method=delta;session={sid};epoch=3;delta=patch;edge=2;w=0.5"
+                        ),
+                        _ => format!("{id};method=close;session={sid}"),
+                    });
+                }
+            }
+            lines
+        };
+        let epochs = ["1", "2", "2", "3", "4", "4"];
+        let reference = Router::new(Executor::sequential(), 64);
+        let lines = batch(&open_three(&reference));
+        let want: Vec<String> = lines.iter().map(|l| reference.handle_line(l)).collect();
+        for (i, w) in want.iter().enumerate() {
+            assert!(w.starts_with("ok;"), "{w}");
+            assert_eq!(header(w, "epoch").as_deref(), Some(epochs[i / 3]), "{w}");
+        }
+        assert_eq!(payload_of(&want[6]), payload_of(&want[3]), "resync answers");
+        assert!(want[15].ends_with("closed=1;deltas=4"), "{}", want[15]);
+        for threads in [2, 8] {
+            for iteration in 0..50 {
+                let r = Router::new(Executor::new(threads), 64);
+                assert_eq!(batch(&open_three(&r)), lines);
+                let got = r.handle_batch(&lines);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    let ctx = format!("threads {threads}, iteration {iteration}: {g}");
+                    for key in ["session", "epoch", "resynced"] {
+                        assert_eq!(header(g, key), header(w, key), "{ctx}");
+                    }
+                    assert_eq!(payload_of(g), payload_of(w), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

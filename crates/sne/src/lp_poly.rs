@@ -165,4 +165,126 @@ mod tests {
         let sol = enforce_state_poly(&game, &state).unwrap();
         assert!(ndg_core::is_equilibrium(&game, &state, &sol.subsidies));
     }
+
+    /// The four golden instances: two Theorem-11 cycles, a random
+    /// broadcast game at a shuffled (non-minimum) spanning tree, and the
+    /// 2×2 grid general game.
+    fn golden_instances() -> Vec<(&'static str, NetworkDesignGame, State)> {
+        use rand::prelude::*;
+        let mut out = Vec::new();
+        for (name, n) in [("cycle6", 6), ("cycle10", 10)] {
+            let (game, tree) = crate::lower_bound::cycle_instance(n);
+            let (state, _) = State::from_tree(&game, &tree).unwrap();
+            out.push((name, game, state));
+        }
+        let mut rng = StdRng::seed_from_u64(2012);
+        let g = generators::random_connected(12, 0.3, &mut rng, 0.5..3.0);
+        let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
+        let mut order: Vec<EdgeId> = game.graph().edge_ids().collect();
+        order.shuffle(&mut rng);
+        let mut uf = ndg_graph::UnionFind::new(game.graph().node_count());
+        let tree: Vec<EdgeId> = order
+            .into_iter()
+            .filter(|&e| {
+                let (u, v) = game.graph().endpoints(e);
+                uf.union(u.index(), v.index())
+            })
+            .collect();
+        let (state, _) = State::from_tree(&game, &tree).unwrap();
+        out.push(("random12", game, state));
+        let grid = NetworkDesignGame::new(
+            generators::grid_graph(2, 2, 1.0),
+            vec![
+                Player {
+                    source: NodeId(0),
+                    terminal: NodeId(3),
+                },
+                Player {
+                    source: NodeId(1),
+                    terminal: NodeId(2),
+                },
+            ],
+        )
+        .unwrap();
+        let tree = kruskal(grid.graph()).unwrap();
+        let (state, _) = State::from_tree(&grid, &tree).unwrap();
+        out.push(("grid2x2", grid, state));
+        out
+    }
+
+    /// Bit-exact answers of the simplex kernel on LP (2): any change to
+    /// the pivot arithmetic or the pivot sequence moves these bits.
+    #[test]
+    fn golden_bits_are_pinned() {
+        let golden: [(&str, u64, &[u64]); 4] = [
+            (
+                "cycle6",
+                0x3ffe666666666663,
+                &[0, 0, 0, 0, 0x3fecccccccccccc9, 0x3feffffffffffffd, 0],
+            ),
+            (
+                "cycle10",
+                0x400b0f70f70f70f5,
+                &[
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0x3fd87b87b87b87b7,
+                    0x3feffffffffffffe,
+                    0x3ff0000000000000,
+                    0x3feffffffffffffd,
+                    0,
+                ],
+            ),
+            (
+                "random12",
+                0x4008dc78a8e75b83,
+                &[
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0x3ff1bedccee0c9df,
+                    0,
+                    0x3fe66e02d0da5f75,
+                    0,
+                    0,
+                    0,
+                    0x3f956bdaf70b6c40,
+                    0,
+                    0x3ff46d63aea48fbb,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                ],
+            ),
+            ("grid2x2", 0, &[0, 0, 0, 0]),
+        ];
+        for ((name, game, state), (want_name, cost, b)) in
+            golden_instances().into_iter().zip(golden)
+        {
+            assert_eq!(name, want_name);
+            let sol = enforce_state_poly(&game, &state).unwrap();
+            assert_eq!(sol.cost.to_bits(), cost, "{name}: cost {}", sol.cost);
+            let got: Vec<u64> = sol
+                .subsidies
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, b, "{name}: subsidies");
+        }
+    }
 }
