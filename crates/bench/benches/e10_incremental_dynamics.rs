@@ -11,7 +11,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndg_bench::random_broadcast;
 use ndg_core::SubsidyAssignment;
-use ndg_core::{best_response_dynamics, best_response_dynamics_naive, MoveOrder, State};
+use ndg_core::{best_response_dynamics_budgeted, best_response_dynamics_naive, MoveOrder, State};
+use ndg_exec::Budget;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -32,13 +33,15 @@ fn bench(c: &mut Criterion) {
                 &n,
                 |bench, _| {
                     bench.iter(|| {
-                        best_response_dynamics(
+                        best_response_dynamics_budgeted(
                             black_box(&game),
                             black_box(state.clone()),
                             black_box(&b0),
                             order,
                             100_000,
+                            &Budget::unlimited(),
                         )
+                        .unwrap()
                         .moves
                     })
                 },

@@ -11,8 +11,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndg_bench::{random_general, random_tree};
 use ndg_core::State;
-use ndg_exec::Executor;
-use ndg_sne::lp_general::enforce_state_cutting_with;
+use ndg_exec::{Budget, Executor};
+use ndg_sne::lp_general::enforce_state_cutting_budgeted;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -21,7 +21,13 @@ fn bench(c: &mut Criterion) {
     let (game, _mst) = random_general(64, 0.25, 48, 11_065);
     let tree = random_tree(game.graph(), 11_065 ^ 0xE11);
     let (state, _) = State::from_tree(&game, &tree).unwrap();
-    let (seq_sol, _) = enforce_state_cutting_with(&game, &state, &Executor::sequential()).unwrap();
+    let (seq_sol, _) = enforce_state_cutting_budgeted(
+        &game,
+        &state,
+        &Executor::sequential(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
     let want = seq_sol.subsidies.as_slice().to_vec();
     for threads in [1usize, 4, 8] {
         let ex = Executor::new(threads);
@@ -30,9 +36,13 @@ fn bench(c: &mut Criterion) {
             &threads,
             |bench, _| {
                 bench.iter(|| {
-                    let (sol, stats) =
-                        enforce_state_cutting_with(black_box(&game), black_box(&state), &ex)
-                            .unwrap();
+                    let (sol, stats) = enforce_state_cutting_budgeted(
+                        black_box(&game),
+                        black_box(&state),
+                        &ex,
+                        &Budget::unlimited(),
+                    )
+                    .unwrap();
                     assert_eq!(sol.subsidies.as_slice(), &want[..]);
                     stats.cuts_added
                 })

@@ -12,7 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndg_bench::{partial_subsidies, random_broadcast, random_tree};
-use ndg_core::{best_response_dynamics, best_response_dynamics_naive, MoveOrder, State};
+use ndg_core::{best_response_dynamics_budgeted, best_response_dynamics_naive, MoveOrder, State};
+use ndg_exec::Budget;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -34,13 +35,15 @@ fn bench(c: &mut Criterion) {
                 &n,
                 |bench, _| {
                     bench.iter(|| {
-                        best_response_dynamics(
+                        best_response_dynamics_budgeted(
                             black_box(&game),
                             black_box(state.clone()),
                             black_box(&b),
                             order,
                             100_000,
+                            &Budget::unlimited(),
                         )
+                        .unwrap()
                         .moves
                     })
                 },

@@ -5,12 +5,14 @@
 //! CI); `exp_e15` pins the measured numbers into `BENCH_dynamics.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ndg_bench::unpruned_pos;
 use ndg_core::{
     count_spanning_trees, for_each_spanning_tree_orbits, NetworkDesignGame, SubsidyAssignment,
 };
+use ndg_exec::Budget;
 use ndg_graph::{generators, NodeId};
-use ndg_snd::orbits::{broadcast_edge_group, exact_pos_orbits};
-use ndg_snd::pos::exact_pos_unpruned;
+use ndg_snd::orbits::broadcast_edge_group;
+use ndg_snd::pos::exact_pos_budgeted;
 use rand::prelude::*;
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -35,8 +37,8 @@ fn bench(c: &mut Criterion) {
 
         // Gates, outside the timed region: bit-identity on every family,
         // >=4x fewer Lemma-2 scans where the root stabilizer is large.
-        let plain = exact_pos_unpruned(&game, CAP).expect("has PoS");
-        let orbit = exact_pos_orbits(&game, CAP).expect("has PoS");
+        let plain = unpruned_pos(&game, CAP);
+        let orbit = exact_pos_budgeted(&game, CAP, &Budget::unlimited()).expect("has PoS");
         assert_eq!(plain.to_bits(), orbit.to_bits(), "{id}: orbit PoS diverged");
         if matches!(id, "Q3" | "torus_3x3") {
             let b0 = SubsidyAssignment::zero(game.graph());
@@ -55,10 +57,10 @@ fn bench(c: &mut Criterion) {
         }
 
         group.bench_with_input(BenchmarkId::new("unpruned_pos", id), &id, |bench, _| {
-            bench.iter(|| exact_pos_unpruned(black_box(&game), CAP).unwrap())
+            bench.iter(|| unpruned_pos(black_box(&game), CAP))
         });
         group.bench_with_input(BenchmarkId::new("orbit_pos", id), &id, |bench, _| {
-            bench.iter(|| exact_pos_orbits(black_box(&game), CAP).unwrap())
+            bench.iter(|| exact_pos_budgeted(black_box(&game), CAP, &Budget::unlimited()).unwrap())
         });
     }
     group.finish();

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ndg_bench::random_broadcast;
+use ndg_exec::Budget;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -10,7 +11,10 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let (game, _) = random_broadcast(7, 0.5, 1001);
     group.bench_function("exact_pos_n7", |b| {
-        b.iter(|| ndg_snd::pos::exact_pos(black_box(&game), 1_000_000).unwrap())
+        b.iter(|| {
+            ndg_snd::pos::exact_pos_budgeted(black_box(&game), 1_000_000, &Budget::unlimited())
+                .unwrap()
+        })
     });
     group.bench_function("pos_with_budget_n7", |b| {
         b.iter(|| ndg_snd::pos::pos_with_budget_fraction(black_box(&game), 0.2, 1_000_000).unwrap())

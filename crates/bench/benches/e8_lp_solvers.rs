@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ndg_bench::random_broadcast;
 use ndg_core::State;
+use ndg_exec::{Budget, Executor};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -12,10 +13,15 @@ fn bench(c: &mut Criterion) {
     let (state, _) = State::from_tree(&game, &tree).unwrap();
     group.bench_function("lp1_cutting", |b| {
         b.iter(|| {
-            ndg_sne::lp_general::enforce_state_cutting(black_box(&game), black_box(&state))
-                .unwrap()
-                .0
-                .cost
+            ndg_sne::lp_general::enforce_state_cutting_budgeted(
+                black_box(&game),
+                black_box(&state),
+                &Executor::from_env(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+            .0
+            .cost
         })
     });
     group.bench_function("lp2_poly", |b| {

@@ -8,8 +8,10 @@
 
 use ndg_bench::{header, random_broadcast, row};
 use ndg_core::{
-    best_response_dynamics, best_response_dynamics_naive, MoveOrder, State, SubsidyAssignment,
+    best_response_dynamics_budgeted, best_response_dynamics_naive, MoveOrder, State,
+    SubsidyAssignment,
 };
+use ndg_exec::Budget;
 use std::time::Instant;
 
 fn main() {
@@ -22,6 +24,7 @@ fn main() {
             &widths
         )
     );
+    let unlimited = Budget::unlimited();
     for n in [32usize, 64, 128] {
         let (game, tree) = random_broadcast(n, 0.4, 10_000 + n as u64);
         let b = SubsidyAssignment::zero(game.graph());
@@ -34,7 +37,15 @@ fn main() {
             let naive = best_response_dynamics_naive(&game, state.clone(), &b, order, 100_000);
             let t_naive = t0.elapsed();
             let t0 = Instant::now();
-            let fast = best_response_dynamics(&game, state.clone(), &b, order, 100_000);
+            let fast = best_response_dynamics_budgeted(
+                &game,
+                state.clone(),
+                &b,
+                order,
+                100_000,
+                &unlimited,
+            )
+            .unwrap();
             let t_incr = t0.elapsed();
             assert!(naive.converged && fast.converged);
             assert_eq!(naive.moves, fast.moves, "move counts diverged");

@@ -11,8 +11,8 @@
 
 use ndg_bench::{header, random_general, random_tree, row};
 use ndg_core::State;
-use ndg_exec::Executor;
-use ndg_sne::lp_general::enforce_state_cutting_with;
+use ndg_exec::{Budget, Executor};
+use ndg_sne::lp_general::enforce_state_cutting_budgeted;
 use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 4, 8];
@@ -41,7 +41,8 @@ fn main() {
             let mut last = None;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                let out = enforce_state_cutting_with(&game, &state, &ex).unwrap();
+                let out = enforce_state_cutting_budgeted(&game, &state, &ex, &Budget::unlimited())
+                    .unwrap();
                 times.push(t0.elapsed().as_secs_f64() * 1e3);
                 last = Some(out);
             }

@@ -12,8 +12,10 @@
 
 use ndg_bench::{header, partial_subsidies, random_broadcast, random_tree, row};
 use ndg_core::{
-    best_response_dynamics, best_response_dynamics_naive, IncrementalDynamics, MoveOrder, State,
+    best_response_dynamics_budgeted, best_response_dynamics_naive, IncrementalDynamics, MoveOrder,
+    State,
 };
+use ndg_exec::Budget;
 use std::time::Instant;
 
 fn main() {
@@ -26,6 +28,7 @@ fn main() {
             &widths
         )
     );
+    let unlimited = Budget::unlimited();
     for n in [64usize, 128] {
         let (game, _mst) = random_broadcast(n, 0.4, 13_000 + n as u64);
         let tree = random_tree(game.graph(), 13_100 + n as u64);
@@ -39,7 +42,15 @@ fn main() {
             let naive = best_response_dynamics_naive(&game, state.clone(), &b, order, 100_000);
             let t_naive = t0.elapsed();
             let t0 = Instant::now();
-            let fast = best_response_dynamics(&game, state.clone(), &b, order, 100_000);
+            let fast = best_response_dynamics_budgeted(
+                &game,
+                state.clone(),
+                &b,
+                order,
+                100_000,
+                &unlimited,
+            )
+            .unwrap();
             let t_incr = t0.elapsed();
             assert!(naive.converged && fast.converged);
             assert_eq!(naive.moves, fast.moves, "move counts diverged");

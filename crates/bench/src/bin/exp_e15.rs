@@ -21,13 +21,14 @@
 //! scan counts and bit-identity are the portable part; wall clocks scale
 //! with the reduction only once the Lemma-2 scans dominate.
 
-use ndg_bench::{header, row};
+use ndg_bench::{header, row, unpruned_pos};
 use ndg_core::{
     count_spanning_trees, for_each_spanning_tree_orbits, NetworkDesignGame, SubsidyAssignment,
 };
+use ndg_exec::Budget;
 use ndg_graph::{generators, NodeId};
-use ndg_snd::orbits::{broadcast_edge_group, exact_pos_orbits};
-use ndg_snd::pos::exact_pos_unpruned;
+use ndg_snd::orbits::broadcast_edge_group;
+use ndg_snd::pos::exact_pos_budgeted;
 use rand::prelude::*;
 use std::io::Write as _;
 use std::ops::ControlFlow;
@@ -110,8 +111,9 @@ fn main() {
             "{id}: orbit sizes must sum to the tree count"
         );
 
-        let (plain, unpruned_ms) = time_ms(|| exact_pos_unpruned(&game, CAP).expect("has PoS"));
-        let (orbit, orbit_ms) = time_ms(|| exact_pos_orbits(&game, CAP).expect("has PoS"));
+        let (plain, unpruned_ms) = time_ms(|| unpruned_pos(&game, CAP));
+        let (orbit, orbit_ms) =
+            time_ms(|| exact_pos_budgeted(&game, CAP, &Budget::unlimited()).expect("has PoS"));
         assert_eq!(
             plain.to_bits(),
             orbit.to_bits(),

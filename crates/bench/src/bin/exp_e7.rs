@@ -7,6 +7,7 @@
 //! `β = 1/e` (Theorem 6).
 
 use ndg_bench::{header, random_broadcast, row};
+use ndg_exec::Budget;
 use std::f64::consts::E;
 
 fn main() {
@@ -20,7 +21,8 @@ fn main() {
     for seed in 0..10u64 {
         let n = 5 + (seed as usize % 3);
         let (game, _) = random_broadcast(n, 0.5, 1000 + seed);
-        let pos = ndg_snd::pos::exact_pos(&game, 1_000_000).expect("small instance");
+        let pos = ndg_snd::pos::exact_pos_budgeted(&game, 1_000_000, &Budget::unlimited())
+            .expect("small instance");
         let (br, hn) = ndg_snd::pos::br_from_opt_bound(&game).expect("dynamics converge");
         println!(
             "{}",

@@ -7,6 +7,7 @@
 
 use ndg_bench::{header, random_broadcast, row};
 use ndg_core::State;
+use ndg_exec::{Budget, Executor};
 use std::time::Instant;
 
 fn main() {
@@ -32,7 +33,13 @@ fn main() {
         let (state, _) = State::from_tree(game, tree).unwrap();
 
         let t = Instant::now();
-        let (lp1, stats) = ndg_sne::lp_general::enforce_state_cutting(game, &state).unwrap();
+        let (lp1, stats) = ndg_sne::lp_general::enforce_state_cutting_budgeted(
+            game,
+            &state,
+            &Executor::from_env(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let t1 = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();

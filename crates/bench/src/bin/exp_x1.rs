@@ -7,6 +7,7 @@
 
 use ndg_bench::{header, random_broadcast, row};
 use ndg_core::{weighted::Demands, State, SubsidyAssignment};
+use ndg_exec::{Budget, Executor};
 use ndg_graph::{mst_weight, EdgeId};
 use std::f64::consts::E;
 
@@ -69,7 +70,14 @@ fn main() {
     let mut prev = f64::INFINITY;
     for d1 in [1.0, 2.0, 4.0, 8.0, 100.0] {
         let d = Demands::new(&game, vec![d1, 1.0, 1.0]).unwrap();
-        let (sol, _) = ndg_sne::lp_weighted::enforce_state_weighted(&game, &state, &d).unwrap();
+        let (sol, _) = ndg_sne::lp_weighted::enforce_state_weighted_budgeted(
+            &game,
+            &state,
+            &d,
+            &Executor::from_env(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         println!(
             "{}",
             row(&[format!("{d1:.0}"), format!("{:.5}", sol.cost)], &widths)

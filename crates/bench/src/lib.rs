@@ -186,6 +186,17 @@ pub fn partial_subsidies(g: &ndg_graph::Graph, seed: u64) -> ndg_core::SubsidyAs
     b
 }
 
+/// The exact PoS of the unsubsidized game through the unpruned sweep (the
+/// trivial edge group): the reference E15 holds the orbit-pruned PoS to.
+pub fn unpruned_pos(game: &NetworkDesignGame, cap: usize) -> f64 {
+    let g = game.graph();
+    let b0 = ndg_core::SubsidyAssignment::zero(g);
+    let trivial = ndg_core::EdgeGroup::trivial(g.edge_count());
+    ndg_core::price_of_stability(game, &b0, cap, &trivial, &ndg_exec::Budget::unlimited())
+        .expect("under cap")
+        .expect("has PoS")
+}
+
 #[cfg(test)]
 mod tests {
     use super::{join_bench_serve, split_bench_serve};

@@ -964,7 +964,7 @@ impl Search<'_> {
     /// One budgeted refinement pass; a `None` (budget exhausted) marks
     /// the whole search aborted.
     fn refine(&mut self, seed: &[u32]) -> Option<Refinement> {
-        let refined = ndg_graph::refine_partition_budgeted(
+        let refined = ndg_graph::refine_partition(
             self.inst.n,
             self.arcs,
             seed,

@@ -65,32 +65,11 @@ pub struct DynamicsResult {
 /// Dijkstra workspace, and the optimistic-bound filter skips players that
 /// provably cannot move — reproducing the naive driver's decisions (and
 /// its potential trace, up to float tolerance) at a fraction of the work.
-pub fn best_response_dynamics(
-    game: &NetworkDesignGame,
-    initial: State,
-    b: &SubsidyAssignment,
-    order: MoveOrder,
-    max_rounds: usize,
-) -> DynamicsResult {
-    match best_response_dynamics_budgeted(
-        game,
-        initial,
-        b,
-        order,
-        max_rounds,
-        &ndg_exec::Budget::unlimited(),
-    ) {
-        Ok(res) => res,
-        // Unreachable: an unlimited budget never expires.
-        Err(ndg_exec::BudgetExceeded) => unreachable!("unlimited budget cannot expire"),
-    }
-}
-
-/// [`best_response_dynamics`] under a cooperative [`ndg_exec::Budget`],
-/// checked at every round boundary (one round = one full player pass, the
-/// natural chunk of work). Expiry aborts the drive with
-/// [`ndg_exec::BudgetExceeded`]; with an unlimited budget the move
-/// sequence is identical to the unbudgeted driver.
+///
+/// `budget` is checked at every round boundary (one round = one full
+/// player pass, the natural chunk of work). Expiry aborts the drive with
+/// [`ndg_exec::BudgetExceeded`]; `Budget::unlimited()` never expires and
+/// leaves the move sequence untouched.
 pub fn best_response_dynamics_budgeted(
     game: &NetworkDesignGame,
     initial: State,
@@ -218,7 +197,7 @@ pub fn best_response_dynamics_budgeted(
 
 /// The pre-incremental reference driver: recomputes the full `O(m)`
 /// potential after every move and runs a fresh Dijkstra per player per
-/// scan. Kept verbatim for cross-checking ([`best_response_dynamics`]
+/// scan. Kept verbatim for cross-checking ([`best_response_dynamics_budgeted`]
 /// must reproduce its decisions) and as the baseline of the E10 bench.
 /// MaxGain here performs one move per `max_rounds` unit, as the seed
 /// driver did.
@@ -309,7 +288,11 @@ pub fn dynamics_from_tree(
     max_rounds: usize,
 ) -> Result<DynamicsResult, crate::state::StateError> {
     let (state, _) = State::from_tree(game, tree_edges)?;
-    Ok(best_response_dynamics(game, state, b, order, max_rounds))
+    let unlimited = ndg_exec::Budget::unlimited();
+    Ok(
+        best_response_dynamics_budgeted(game, state, b, order, max_rounds, &unlimited)
+            .expect("an unlimited budget never expires"),
+    )
 }
 
 #[cfg(test)]

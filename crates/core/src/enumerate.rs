@@ -8,11 +8,15 @@
 //!
 //! The enumerator is a *streaming visitor* over a rollback union-find:
 //! each tree is handed to the caller as it is produced (O(n) live state,
-//! no per-branch clones), and the equilibrium drivers test trees in
-//! bounded parallel chunks instead of materializing `Vec<Vec<EdgeId>>`
-//! first — peak memory no longer scales with the number of spanning
-//! trees. Kirchhoff's matrix-tree determinant predicts the count so the
-//! cap can reject hopeless instances before enumerating a single tree.
+//! no per-branch clones). One sweep driver, [`fold_equilibrium_trees`],
+//! tests trees in bounded parallel chunks instead of materializing
+//! `Vec<Vec<EdgeId>>` first, so peak memory does not scale with the
+//! number of spanning trees. It takes an [`EdgeGroup`] and an
+//! [`ndg_exec::Budget`] as arguments: `EdgeGroup::trivial(m)` sweeps every
+//! tree, a nontrivial group sweeps one representative per tree orbit, and
+//! `Budget::unlimited()` never cancels. Kirchhoff's matrix-tree
+//! determinant predicts the count so the cap can reject hopeless instances
+//! before enumerating a single tree.
 
 use crate::broadcast::is_tree_equilibrium;
 use crate::game::NetworkDesignGame;
@@ -259,38 +263,30 @@ pub struct EquilibriumTree {
 /// giving the parallel equilibrium scan enough work per dispatch.
 const CHUNK: usize = 1024;
 
-/// Stream every spanning tree through the Lemma 2 equilibrium check in
-/// parallel chunks, folding each equilibrium into `acc` as it is found.
+/// Stream one representative per spanning-tree orbit under `group`
+/// through the Lemma 2 equilibrium check in parallel chunks, folding each
+/// equilibrium representative into `acc` together with its orbit size.
 /// Peak memory is O(`CHUNK` · n + |acc|), never O(#trees · n).
+///
+/// This is the one sweep driver: `EdgeGroup::trivial(m)` makes it the
+/// plain sweep over every tree (each with orbit size 1), and a nontrivial
+/// group skips automorphic copies so the Lemma 2 scan runs once per orbit.
+/// The cap counts *covered* trees (sum of visited orbit sizes), so it
+/// trips exactly when the plain sweep would. `budget` is checked once per
+/// streamed chunk (every `CHUNK` representatives, the boundary at which
+/// the parallel scan dispatches) and once before the final partial chunk;
+/// expiry aborts with [`EnumError::Cancelled`].
 pub fn fold_equilibrium_trees<T, F>(
     game: &NetworkDesignGame,
     b: &SubsidyAssignment,
     cap: usize,
-    acc: T,
-    fold: F,
-) -> Result<T, EnumError>
-where
-    F: FnMut(T, EquilibriumTree) -> T,
-    T: Send,
-{
-    fold_equilibrium_trees_budgeted(game, b, cap, acc, fold, &ndg_exec::Budget::unlimited())
-}
-
-/// [`fold_equilibrium_trees`] under a cooperative [`ndg_exec::Budget`]:
-/// the budget is checked once per streamed chunk (every 1024 trees —
-/// the same boundary at which the parallel Lemma 2 scan dispatches) and
-/// once before the final partial chunk. Expiry aborts the enumeration
-/// with [`EnumError::Cancelled`]; an unlimited budget changes nothing.
-pub fn fold_equilibrium_trees_budgeted<T, F>(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
+    group: &EdgeGroup,
     mut acc: T,
     mut fold: F,
     budget: &ndg_exec::Budget,
 ) -> Result<T, EnumError>
 where
-    F: FnMut(T, EquilibriumTree) -> T,
+    F: FnMut(T, EquilibriumTree, u64) -> T,
     T: Send,
 {
     let g = game.graph();
@@ -300,44 +296,56 @@ where
     }
     let root = game.root().unwrap_or(NodeId(0));
     let mut chunk: Vec<Vec<EdgeId>> = Vec::with_capacity(CHUNK);
-    let mut total = 0usize;
+    let mut sizes: Vec<u64> = Vec::with_capacity(CHUNK);
+    let mut covered = 0u64;
     let mut capped = false;
     let mut cancelled = false;
     let mut acc_slot = Some(acc);
-    for_each_spanning_tree(g, |tree| {
-        if total >= cap {
+    let drain = |chunk: &mut Vec<Vec<EdgeId>>,
+                 sizes: &mut Vec<u64>,
+                 acc_slot: &mut Option<T>,
+                 fold: &mut F| {
+        let mut a = acc_slot.take().expect("accumulator is always restored");
+        for (verdict, &size) in scan_chunk_verdicts(game, b, root, chunk)
+            .into_iter()
+            .zip(sizes.iter())
+        {
+            if let Some(eq) = verdict {
+                a = fold(a, eq, size);
+            }
+        }
+        *acc_slot = Some(a);
+        chunk.clear();
+        sizes.clear();
+    };
+    for_each_spanning_tree_orbits(g, group, |tree, size| {
+        if covered >= cap as u64 {
             capped = true;
             return ControlFlow::Break(());
         }
-        total += 1;
+        covered += size;
         chunk.push(tree.to_vec());
+        sizes.push(size);
         if chunk.len() == CHUNK {
             if budget.expired() {
                 cancelled = true;
                 return ControlFlow::Break(());
             }
-            let mut a = acc_slot.take().expect("accumulator is always restored");
-            for eq in scan_chunk(game, b, root, &chunk) {
-                a = fold(a, eq);
-            }
-            acc_slot = Some(a);
-            chunk.clear();
+            drain(&mut chunk, &mut sizes, &mut acc_slot, &mut fold);
         }
         ControlFlow::Continue(())
     })?;
     if cancelled {
         return Err(EnumError::Cancelled);
     }
-    if capped {
-        return Err(cap_tripped(g, cap, total as u64));
+    if capped || covered > cap as u64 {
+        return Err(cap_tripped(g, cap, covered));
     }
     if budget.expired() {
         return Err(EnumError::Cancelled);
     }
+    drain(&mut chunk, &mut sizes, &mut acc_slot, &mut fold);
     acc = acc_slot.take().expect("accumulator is always restored");
-    for eq in scan_chunk(game, b, root, &chunk) {
-        acc = fold(acc, eq);
-    }
     Ok(acc)
 }
 
@@ -371,20 +379,6 @@ fn scan_chunk_verdicts(
     ex.par_map(chunk, check)
 }
 
-/// Lemma-2-check one chunk of trees on the shared executor, preserving the
-/// chunk's enumeration order in the result.
-fn scan_chunk(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    root: NodeId,
-    chunk: &[Vec<EdgeId>],
-) -> Vec<EquilibriumTree> {
-    scan_chunk_verdicts(game, b, root, chunk)
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// All spanning trees of the broadcast game's graph that are equilibria of
 /// the extension with `b` (Lemma 2 check per tree, parallel over streamed
 /// chunks), sorted by weight then edge ids.
@@ -393,10 +387,18 @@ pub fn equilibrium_trees(
     b: &SubsidyAssignment,
     cap: usize,
 ) -> Result<Vec<EquilibriumTree>, EnumError> {
-    let mut found = fold_equilibrium_trees(game, b, cap, Vec::new(), |mut acc, eq| {
-        acc.push(eq);
-        acc
-    })?;
+    let mut found = fold_equilibrium_trees(
+        game,
+        b,
+        cap,
+        &EdgeGroup::trivial(game.graph().edge_count()),
+        Vec::new(),
+        |mut acc, eq, _size| {
+            acc.push(eq);
+            acc
+        },
+        &ndg_exec::Budget::unlimited(),
+    )?;
     found.sort_by(|a, b| {
         a.weight
             .total_cmp(&b.weight)
@@ -414,79 +416,50 @@ fn tree_lt(a: &EquilibriumTree, b: &EquilibriumTree) -> bool {
         .is_lt()
 }
 
-/// The minimum-weight equilibrium tree, if any. Streams: O(n) live state
-/// per worker instead of collecting every equilibrium first.
+/// The minimum-weight equilibrium tree, if any (ties broken by edge ids).
+/// Streams: O(n) live state per worker instead of collecting every
+/// equilibrium first. The witness is the same input tree for every `group`.
 pub fn best_equilibrium_tree(
     game: &NetworkDesignGame,
     b: &SubsidyAssignment,
     cap: usize,
+    group: &EdgeGroup,
+    budget: &ndg_exec::Budget,
 ) -> Result<Option<EquilibriumTree>, EnumError> {
-    fold_equilibrium_trees(
-        game,
-        b,
-        cap,
-        None,
-        |best: Option<EquilibriumTree>, eq| match best {
-            Some(cur) if tree_lt(&cur, &eq) => Some(cur),
-            _ => Some(eq),
-        },
-    )
+    extreme_equilibrium_tree(game, b, cap, group, budget, true)
 }
 
 /// Exact price of stability of a broadcast game over spanning-tree states:
 /// `min_{equilibrium T} wgt(T) / wgt(MST)`. `Ok(None)` if no equilibrium
 /// tree exists (possible in principle only under subsidy-modified games;
-/// the unsubsidized game always has one by potential descent).
+/// the unsubsidized game always has one by potential descent). The result
+/// is bit-identical for every `group` that is a subgroup of the subsidized
+/// game's automorphisms.
 pub fn price_of_stability(
     game: &NetworkDesignGame,
     b: &SubsidyAssignment,
     cap: usize,
-) -> Result<Option<f64>, EnumError> {
-    price_of_stability_budgeted(game, b, cap, &ndg_exec::Budget::unlimited())
-}
-
-/// [`price_of_stability`] under a cooperative [`ndg_exec::Budget`] (checked
-/// at enumeration chunk boundaries; expiry is [`EnumError::Cancelled`]).
-pub fn price_of_stability_budgeted(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
+    group: &EdgeGroup,
     budget: &ndg_exec::Budget,
 ) -> Result<Option<f64>, EnumError> {
     let opt = ndg_graph::mst_weight(game.graph()).map_err(|_| EnumError::Disconnected)?;
-    let best = fold_equilibrium_trees_budgeted(
-        game,
-        b,
-        cap,
-        None,
-        |best: Option<EquilibriumTree>, eq| match best {
-            Some(cur) if tree_lt(&cur, &eq) => Some(cur),
-            _ => Some(eq),
-        },
-        budget,
-    )?;
+    let best = extreme_equilibrium_tree(game, b, cap, group, budget, true)?;
     Ok(best.map(|t| t.weight / opt))
 }
 
 /// Exact price of anarchy over spanning-tree states:
 /// `max_{equilibrium T} wgt(T) / wgt(MST)`. Streams like
-/// [`best_equilibrium_tree`].
+/// [`best_equilibrium_tree`], through the orbit-**max** member per
+/// equilibrium orbit.
 pub fn price_of_anarchy_trees(
     game: &NetworkDesignGame,
     b: &SubsidyAssignment,
     cap: usize,
+    group: &EdgeGroup,
+    budget: &ndg_exec::Budget,
 ) -> Result<Option<f64>, EnumError> {
     let opt = ndg_graph::mst_weight(game.graph()).map_err(|_| EnumError::Disconnected)?;
-    let worst = fold_equilibrium_trees(
-        game,
-        b,
-        cap,
-        None,
-        |worst: Option<EquilibriumTree>, eq| match worst {
-            Some(cur) if tree_lt(&eq, &cur) => Some(cur),
-            _ => Some(eq),
-        },
-    )?;
+    let worst = extreme_equilibrium_tree(game, b, cap, group, budget, false)?;
     Ok(worst.map(|t| t.weight / opt))
 }
 
@@ -618,32 +591,17 @@ pub fn for_each_spanning_tree_orbits<F>(
 where
     F: FnMut(&[EdgeId], u64) -> ControlFlow<()>,
 {
-    if group.is_trivial() || group.num_edges() != g.edge_count() {
-        let mut n: u64 = 0;
-        let out = for_each_spanning_tree(g, |t| {
-            n += 1;
-            visit(t, 1)
-        });
-        ENUM_TREES_VISITED.add(n);
-        ENUM_ORBIT_REPS.add(n);
-        ENUM_ORBIT_COVERED.add(n);
-        if ndg_obs::events::recording() {
-            ndg_obs::events::emit(
-                "enum",
-                vec![
-                    ("covered", n.to_string()),
-                    ("reps", n.to_string()),
-                    ("trees", n.to_string()),
-                ],
-            );
-        }
-        return out;
-    }
+    let trivial = group.is_trivial() || group.num_edges() != g.edge_count();
     let mut scratch: Vec<EdgeId> = Vec::with_capacity(g.node_count());
     let (mut enumerated, mut reps, mut covered) = (0u64, 0u64, 0u64);
     let out = for_each_spanning_tree(g, |tree| {
         enumerated += 1;
-        match group.orbit_rank(tree, &mut scratch) {
+        let rank = if trivial {
+            Some(1)
+        } else {
+            group.orbit_rank(tree, &mut scratch)
+        };
+        match rank {
             Some(size) => {
                 reps += 1;
                 covered += size;
@@ -668,115 +626,11 @@ where
     out
 }
 
-/// Orbit-pruned [`fold_equilibrium_trees`]: `fold` runs once per
-/// equilibrium **orbit representative**, receiving the orbit size so
-/// aggregates can be weighted back to the full sweep. The cap counts
-/// *covered* trees (sum of visited orbit sizes), so it trips exactly when
-/// the unpruned sweep would.
-pub fn fold_equilibrium_trees_orbits<T, F>(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
-    group: &EdgeGroup,
-    acc: T,
-    fold: F,
-) -> Result<T, EnumError>
-where
-    F: FnMut(T, EquilibriumTree, u64) -> T,
-    T: Send,
-{
-    fold_equilibrium_trees_orbits_budgeted(
-        game,
-        b,
-        cap,
-        group,
-        acc,
-        fold,
-        &ndg_exec::Budget::unlimited(),
-    )
-}
-
-/// [`fold_equilibrium_trees_orbits`] under a cooperative
-/// [`ndg_exec::Budget`], checked at the same chunk boundaries as the
-/// unpruned fold.
-pub fn fold_equilibrium_trees_orbits_budgeted<T, F>(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
-    group: &EdgeGroup,
-    mut acc: T,
-    mut fold: F,
-    budget: &ndg_exec::Budget,
-) -> Result<T, EnumError>
-where
-    F: FnMut(T, EquilibriumTree, u64) -> T,
-    T: Send,
-{
-    let g = game.graph();
-    cap_precheck(g, cap)?;
-    if budget.expired() {
-        return Err(EnumError::Cancelled);
-    }
-    let root = game.root().unwrap_or(NodeId(0));
-    let mut chunk: Vec<Vec<EdgeId>> = Vec::with_capacity(CHUNK);
-    let mut sizes: Vec<u64> = Vec::with_capacity(CHUNK);
-    let mut covered = 0u64;
-    let mut capped = false;
-    let mut cancelled = false;
-    let mut acc_slot = Some(acc);
-    let drain = |chunk: &mut Vec<Vec<EdgeId>>,
-                 sizes: &mut Vec<u64>,
-                 acc_slot: &mut Option<T>,
-                 fold: &mut F| {
-        let mut a = acc_slot.take().expect("accumulator is always restored");
-        for (verdict, &size) in scan_chunk_verdicts(game, b, root, chunk)
-            .into_iter()
-            .zip(sizes.iter())
-        {
-            if let Some(eq) = verdict {
-                a = fold(a, eq, size);
-            }
-        }
-        *acc_slot = Some(a);
-        chunk.clear();
-        sizes.clear();
-    };
-    for_each_spanning_tree_orbits(g, group, |tree, size| {
-        if covered >= cap as u64 {
-            capped = true;
-            return ControlFlow::Break(());
-        }
-        covered += size;
-        chunk.push(tree.to_vec());
-        sizes.push(size);
-        if chunk.len() == CHUNK {
-            if budget.expired() {
-                cancelled = true;
-                return ControlFlow::Break(());
-            }
-            drain(&mut chunk, &mut sizes, &mut acc_slot, &mut fold);
-        }
-        ControlFlow::Continue(())
-    })?;
-    if cancelled {
-        return Err(EnumError::Cancelled);
-    }
-    if capped || covered > cap as u64 {
-        return Err(cap_tripped(g, cap, covered));
-    }
-    if budget.expired() {
-        return Err(EnumError::Cancelled);
-    }
-    drain(&mut chunk, &mut sizes, &mut acc_slot, &mut fold);
-    acc = acc_slot.take().expect("accumulator is always restored");
-    Ok(acc)
-}
-
 /// The orbit member minimizing `(weight, edges)` — the same total order the
-/// unpruned sweep minimizes over. Evaluates `weight_of` on **every distinct
+/// plain sweep minimizes over. Evaluates `weight_of` on **every distinct
 /// member** rather than assuming the representative's weight: edge weights
 /// are summed in sorted-edge-id order, so automorphic trees can differ in
-/// the last ulp, and bit-identity with the unpruned sweep demands comparing
+/// the last ulp, and bit-identity with the plain sweep demands comparing
 /// the actual members.
 pub fn orbit_min_member(g: &Graph, group: &EdgeGroup, rep: &EquilibriumTree) -> EquilibriumTree {
     orbit_extreme_member(g, group, rep, true)
@@ -793,6 +647,10 @@ fn orbit_extreme_member(
     rep: &EquilibriumTree,
     want_min: bool,
 ) -> EquilibriumTree {
+    // The sweep treats these groups as trivial: the orbit is `rep` alone.
+    if group.is_trivial() || group.num_edges() != g.edge_count() {
+        return rep.clone();
+    }
     let mut seen: std::collections::HashSet<Vec<EdgeId>> = std::collections::HashSet::new();
     let mut best: Option<EquilibriumTree> = None;
     for sigma in group.elements() {
@@ -820,102 +678,51 @@ fn orbit_extreme_member(
     best.expect("orbit contains at least the representative")
 }
 
-/// Orbit-pruned [`best_equilibrium_tree`]: bit-identical result (weight and
-/// edge set) via one Lemma-2 check per orbit plus an orbit-member weight
-/// scan per *equilibrium* orbit.
-pub fn best_equilibrium_tree_orbits(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<Option<EquilibriumTree>, EnumError> {
-    let g = game.graph();
-    fold_equilibrium_trees_orbits(
-        game,
-        b,
-        cap,
-        group,
-        None,
-        |best: Option<EquilibriumTree>, eq, _size| {
-            let cand = orbit_min_member(g, group, &eq);
-            match best {
-                Some(cur) if tree_lt(&cur, &cand) => Some(cur),
-                _ => Some(cand),
-            }
-        },
-    )
-}
-
-/// Orbit-pruned [`price_of_stability`]: bit-identical to the unpruned
-/// driver (same `wgt(T*) / wgt(MST)` division on the same bits).
-pub fn price_of_stability_orbits(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<Option<f64>, EnumError> {
-    price_of_stability_orbits_budgeted(game, b, cap, group, &ndg_exec::Budget::unlimited())
-}
-
-/// [`price_of_stability_orbits`] under a cooperative [`ndg_exec::Budget`].
-pub fn price_of_stability_orbits_budgeted(
+/// The `(weight, edges)`-minimal (`want_min`) or -maximal equilibrium tree:
+/// one Lemma-2 check per orbit plus an orbit-member weight scan per
+/// *equilibrium* orbit, bit-identical to the plain sweep's extreme.
+fn extreme_equilibrium_tree(
     game: &NetworkDesignGame,
     b: &SubsidyAssignment,
     cap: usize,
     group: &EdgeGroup,
     budget: &ndg_exec::Budget,
-) -> Result<Option<f64>, EnumError> {
+    want_min: bool,
+) -> Result<Option<EquilibriumTree>, EnumError> {
     let g = game.graph();
-    let opt = ndg_graph::mst_weight(g).map_err(|_| EnumError::Disconnected)?;
-    let best = fold_equilibrium_trees_orbits_budgeted(
+    fold_equilibrium_trees(
         game,
         b,
         cap,
         group,
         None,
         |best: Option<EquilibriumTree>, eq, _size| {
-            let cand = orbit_min_member(g, group, &eq);
+            let cand = orbit_extreme_member(g, group, &eq, want_min);
+            let keep_cur = |cur: &EquilibriumTree| {
+                if want_min {
+                    tree_lt(cur, &cand)
+                } else {
+                    tree_lt(&cand, cur)
+                }
+            };
             match best {
-                Some(cur) if tree_lt(&cur, &cand) => Some(cur),
+                Some(cur) if keep_cur(&cur) => Some(cur),
                 _ => Some(cand),
             }
         },
         budget,
-    )?;
-    Ok(best.map(|t| t.weight / opt))
-}
-
-/// Orbit-pruned [`price_of_anarchy_trees`]: bit-identical to the unpruned
-/// driver via the orbit-**max** member per equilibrium orbit.
-pub fn price_of_anarchy_trees_orbits(
-    game: &NetworkDesignGame,
-    b: &SubsidyAssignment,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<Option<f64>, EnumError> {
-    let g = game.graph();
-    let opt = ndg_graph::mst_weight(g).map_err(|_| EnumError::Disconnected)?;
-    let worst = fold_equilibrium_trees_orbits(
-        game,
-        b,
-        cap,
-        group,
-        None,
-        |worst: Option<EquilibriumTree>, eq, _size| {
-            let cand = orbit_max_member(g, group, &eq);
-            match worst {
-                Some(cur) if tree_lt(&cand, &cur) => Some(cur),
-                _ => Some(cand),
-            }
-        },
-    )?;
-    Ok(worst.map(|t| t.weight / opt))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndg_exec::Budget;
     use ndg_graph::generators;
+
+    fn trivial(game: &NetworkDesignGame) -> EdgeGroup {
+        EdgeGroup::trivial(game.graph().edge_count())
+    }
 
     #[test]
     fn counts_match_known_formulas() {
@@ -993,13 +800,22 @@ mod tests {
             let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
             let b = SubsidyAssignment::zero(game.graph());
             let eqs = equilibrium_trees(&game, &b, 1_000_000).unwrap();
-            let best = best_equilibrium_tree(&game, &b, 1_000_000)
+            let group = trivial(&game);
+            let best = best_equilibrium_tree(&game, &b, 1_000_000, &group, &Budget::unlimited())
                 .unwrap()
                 .unwrap();
             assert_eq!(best.edges, eqs[0].edges);
             assert!((best.weight - eqs[0].weight).abs() < 1e-12);
-            let count =
-                fold_equilibrium_trees(&game, &b, 1_000_000, 0usize, |acc, _| acc + 1).unwrap();
+            let count = fold_equilibrium_trees(
+                &game,
+                &b,
+                1_000_000,
+                &group,
+                0usize,
+                |acc, _, _| acc + 1,
+                &Budget::unlimited(),
+            )
+            .unwrap();
             assert_eq!(count, eqs.len());
         }
     }
@@ -1009,8 +825,8 @@ mod tests {
         let g = generators::complete_graph(5, 1.0);
         let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let b = SubsidyAssignment::zero(game.graph());
-        let budget = ndg_exec::Budget::with_deadline(std::time::Duration::ZERO);
-        let err = price_of_stability_budgeted(&game, &b, 100_000, &budget).unwrap_err();
+        let budget = Budget::with_deadline(std::time::Duration::ZERO);
+        let err = price_of_stability(&game, &b, 100_000, &trivial(&game), &budget).unwrap_err();
         assert_eq!(err, EnumError::Cancelled);
     }
 
@@ -1019,11 +835,14 @@ mod tests {
         let g = generators::complete_graph(5, 1.0);
         let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let b = SubsidyAssignment::zero(game.graph());
-        let plain = price_of_stability(&game, &b, 100_000).unwrap();
+        let eqs = equilibrium_trees(&game, &b, 100_000).unwrap();
+        let opt = ndg_graph::mst_weight(game.graph()).unwrap();
         let budgeted =
-            price_of_stability_budgeted(&game, &b, 100_000, &ndg_exec::Budget::unlimited())
-                .unwrap();
-        assert_eq!(plain, budgeted);
+            price_of_stability(&game, &b, 100_000, &trivial(&game), &Budget::unlimited()).unwrap();
+        assert_eq!(
+            Some((eqs[0].weight / opt).to_bits()),
+            budgeted.map(f64::to_bits)
+        );
     }
 
     #[test]
@@ -1125,18 +944,20 @@ mod tests {
         let group = EdgeGroup::from_generators(n, &[cycle_reflection(n)]);
         let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let b = SubsidyAssignment::zero(game.graph());
-        let pos = price_of_stability(&game, &b, 100_000).unwrap();
-        let pos_o = price_of_stability_orbits(&game, &b, 100_000, &group).unwrap();
+        let plain = trivial(&game);
+        let unlimited = Budget::unlimited();
+        let pos = price_of_stability(&game, &b, 100_000, &plain, &unlimited).unwrap();
+        let pos_o = price_of_stability(&game, &b, 100_000, &group, &unlimited).unwrap();
         assert_eq!(
             pos.map(f64::to_bits),
             pos_o.map(f64::to_bits),
             "PoS must be bit-identical"
         );
-        let poa = price_of_anarchy_trees(&game, &b, 100_000).unwrap();
-        let poa_o = price_of_anarchy_trees_orbits(&game, &b, 100_000, &group).unwrap();
+        let poa = price_of_anarchy_trees(&game, &b, 100_000, &plain, &unlimited).unwrap();
+        let poa_o = price_of_anarchy_trees(&game, &b, 100_000, &group, &unlimited).unwrap();
         assert_eq!(poa.map(f64::to_bits), poa_o.map(f64::to_bits));
-        let best = best_equilibrium_tree(&game, &b, 100_000).unwrap();
-        let best_o = best_equilibrium_tree_orbits(&game, &b, 100_000, &group).unwrap();
+        let best = best_equilibrium_tree(&game, &b, 100_000, &plain, &unlimited).unwrap();
+        let best_o = best_equilibrium_tree(&game, &b, 100_000, &group, &unlimited).unwrap();
         match (best, best_o) {
             (Some(a), Some(o)) => {
                 assert_eq!(a.edges, o.edges, "witness must map to the same input tree");
@@ -1145,11 +966,11 @@ mod tests {
             (a, o) => panic!("presence diverged: {a:?} vs {o:?}"),
         }
         // Weighted count: orbit sizes reweight the fold to the full total.
-        let count = fold_equilibrium_trees(&game, &b, 100_000, 0u64, |c, _| c + 1).unwrap();
-        let count_o =
-            fold_equilibrium_trees_orbits(&game, &b, 100_000, &group, 0u64, |c, _, s| c + s)
-                .unwrap();
-        assert_eq!(count, count_o);
+        let count = |group: &EdgeGroup| {
+            fold_equilibrium_trees(&game, &b, 100_000, group, 0u64, |c, _, s| c + s, &unlimited)
+                .unwrap()
+        };
+        assert_eq!(count(&plain), count(&group));
     }
 
     #[test]
@@ -1161,17 +982,301 @@ mod tests {
         let group = EdgeGroup::from_generators(n, &[cycle_reflection(n)]);
         let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let b = SubsidyAssignment::zero(game.graph());
-        assert!(matches!(
-            fold_equilibrium_trees(&game, &b, 5, 0u64, |c, _| c + 1),
-            Err(EnumError::CapExceeded { cap: 5, .. })
-        ));
-        assert!(matches!(
-            fold_equilibrium_trees_orbits(&game, &b, 5, &group, 0u64, |c, _, s| c + s),
-            Err(EnumError::CapExceeded { cap: 5, .. })
-        ));
-        // cap 8 == tree count: neither trips.
-        assert!(fold_equilibrium_trees(&game, &b, 8, 0u64, |c, _| c + 1).is_ok());
-        assert!(fold_equilibrium_trees_orbits(&game, &b, 8, &group, 0u64, |c, _, s| c + s).is_ok());
+        let count = |cap: usize, group: &EdgeGroup| {
+            let unlimited = Budget::unlimited();
+            fold_equilibrium_trees(&game, &b, cap, group, 0u64, |c, _, s| c + s, &unlimited)
+        };
+        for g in [&trivial(&game), &group] {
+            assert!(matches!(
+                count(5, g),
+                Err(EnumError::CapExceeded { cap: 5, .. })
+            ));
+            // cap 8 == tree count: neither trips.
+            assert!(count(8, g).is_ok());
+        }
+    }
+
+    /// The edge permutation a root-fixing node permutation `pi` induces on
+    /// `g`, asserted to preserve adjacency and weights bit for bit.
+    fn induced_edge_perm(g: &Graph, pi: &[u32]) -> Vec<u32> {
+        assert_eq!(pi[0], 0, "automorphisms of a broadcast game fix the root");
+        g.edges()
+            .map(|(_, e)| {
+                let image = g
+                    .find_edge(NodeId(pi[e.u.index()]), NodeId(pi[e.v.index()]))
+                    .expect("pi preserves adjacency");
+                assert_eq!(
+                    g.weight(image).to_bits(),
+                    e.w.to_bits(),
+                    "pi preserves weights"
+                );
+                image.0
+            })
+            .collect()
+    }
+
+    /// `K_n` with random short-decimal weights, symmetric under the
+    /// involution `pi`.
+    fn symmetric_complete(n: usize, pi: &[u32], rng: &mut rand::rngs::StdRng) -> Graph {
+        use rand::prelude::*;
+        let mut w = vec![vec![0.0f64; n]; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if w[i][j] == 0.0 {
+                    // Short decimals: sums are not associative in f64, so
+                    // automorphic trees can differ in the last ulp.
+                    let x = [0.1, 0.2, 0.3, 0.7, 1.1, 2.9][rng.random_range(0..6usize)];
+                    let (a, b) = (pi[i] as usize, pi[j] as usize);
+                    for (u, v) in [(i, j), (a, b)] {
+                        w[u][v] = x;
+                        w[v][u] = x;
+                    }
+                }
+            }
+        }
+        generators::complete_graph_with(n, |i, j| w[i][j])
+    }
+
+    /// Random subsidies, invariant under the edge permutation `sigma`
+    /// (an involution), zero on about a third of the edges.
+    fn symmetric_subsidies(
+        g: &Graph,
+        sigma: &[u32],
+        rng: &mut rand::rngs::StdRng,
+    ) -> SubsidyAssignment {
+        use rand::prelude::*;
+        let mut b = SubsidyAssignment::zero(g);
+        for e in g.edge_ids() {
+            let image = EdgeId(sigma[e.index()]);
+            if image < e {
+                continue;
+            }
+            let x = if rng.random_bool(0.35) {
+                0.0
+            } else {
+                rng.random_range(0.0..0.5) * g.weight(e)
+            };
+            b.set(g, e, x);
+            b.set(g, image, x);
+        }
+        b
+    }
+
+    /// The independent reference: materialize every spanning tree and keep
+    /// those passing a sequential Lemma 2 check, in enumeration order.
+    fn brute_equilibria(
+        game: &NetworkDesignGame,
+        b: &SubsidyAssignment,
+        cap: usize,
+    ) -> Result<Vec<EquilibriumTree>, EnumError> {
+        let g = game.graph();
+        let root = game.root().unwrap();
+        Ok(spanning_trees(g, cap)?
+            .into_iter()
+            .filter(|t| is_tree_equilibrium(game, &RootedTree::new(g, t, root).unwrap(), b))
+            .map(|edges| EquilibriumTree {
+                weight: g.weight_of(&edges),
+                edges,
+            })
+            .collect())
+    }
+
+    /// The `tree_lt`-minimal (`want_min`) or -maximal tree of `eqs`.
+    fn brute_extreme(eqs: &[EquilibriumTree], want_min: bool) -> Option<&EquilibriumTree> {
+        eqs.iter().reduce(|cur, t| {
+            let better = if want_min {
+                tree_lt(t, cur)
+            } else {
+                tree_lt(cur, t)
+            };
+            if better {
+                t
+            } else {
+                cur
+            }
+        })
+    }
+
+    #[test]
+    fn sweep_matches_brute_force_reference() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(1801);
+        // (game, subsidies, automorphism generator as a node permutation).
+        let mut cases: Vec<(NetworkDesignGame, SubsidyAssignment, Option<Vec<u32>>)> = Vec::new();
+        let broadcast = |g: Graph| NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
+        // Unit weights: every tree ties on weight, so edge ids decide.
+        let reflect7: Vec<u32> = (0..7u32).map(|v| (7 - v) % 7).collect();
+        let swap_bits: Vec<u32> = (0..8u32)
+            .map(|v| (v & !3) | ((v & 1) << 1) | ((v >> 1) & 1))
+            .collect();
+        let transpose: Vec<u32> = (0..9u32).map(|v| (v % 3) * 3 + v / 3).collect();
+        let swap12: Vec<u32> = vec![0, 2, 1, 3, 4];
+        for (g, pi) in [
+            (generators::cycle_graph(7, 1.0), reflect7),
+            (generators::hypercube_graph(3, 1.0), swap_bits),
+            (generators::grid_graph(3, 3, 1.0), transpose),
+            (generators::complete_graph(5, 1.0), swap12),
+        ] {
+            let sigma = induced_edge_perm(&g, &pi);
+            let b = symmetric_subsidies(&g, &sigma, &mut rng);
+            cases.push((
+                broadcast(g.clone()),
+                SubsidyAssignment::zero(&g),
+                Some(pi.clone()),
+            ));
+            cases.push((broadcast(g), b, Some(pi)));
+        }
+        // Random weights, symmetric under a root-fixing involution; K_6
+        // has 1296 trees, so full chunks drain before the cap trips. Orbit
+        // members' weights can differ in the last ulp here, which the
+        // orbit extremes must see.
+        for (n, pi) in [
+            (5, vec![0, 2, 1, 4, 3]),
+            (5, vec![0, 2, 1, 3, 4]),
+            (6, vec![0, 2, 1, 4, 3, 5]),
+        ] {
+            let g = symmetric_complete(n, &pi, &mut rng);
+            let sigma = induced_edge_perm(&g, &pi);
+            let b = symmetric_subsidies(&g, &sigma, &mut rng);
+            cases.push((broadcast(g), b, Some(pi)));
+        }
+        // Random graphs with random subsidies: the trivial group only.
+        for _ in 0..6 {
+            let n = rng.random_range(4..8usize);
+            let g = generators::random_connected(n, 0.5, &mut rng, 0.2..3.0);
+            let sigma: Vec<u32> = (0..g.edge_count() as u32).collect();
+            let b = symmetric_subsidies(&g, &sigma, &mut rng);
+            cases.push((broadcast(g), b, None));
+        }
+
+        let unlimited = Budget::unlimited();
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        for (case, (game, b, pi)) in cases.iter().enumerate() {
+            let g = game.graph();
+            let m = g.edge_count();
+            let opt = ndg_graph::mst_weight(g).unwrap();
+            let count = spanning_trees(g, 1_000_000).unwrap().len();
+            let mut groups = vec![EdgeGroup::trivial(m)];
+            if let Some(pi) = pi {
+                let group = EdgeGroup::from_generators(m, &[induced_edge_perm(g, pi)]);
+                assert!(
+                    !group.is_trivial(),
+                    "case {case}: expected a nontrivial group"
+                );
+                groups.push(group);
+            }
+            for group in &groups {
+                for cap in [3, count - 1, count, 1_000_000] {
+                    let ctx = format!("case {case}, |G| = {}, cap {cap}", group.order());
+                    let brute = brute_equilibria(game, b, cap);
+                    let folded = fold_equilibrium_trees(
+                        game,
+                        b,
+                        cap,
+                        group,
+                        Vec::new(),
+                        |mut acc, eq, size| {
+                            acc.push((eq, size));
+                            acc
+                        },
+                        &unlimited,
+                    );
+                    let pos = price_of_stability(game, b, cap, group, &unlimited);
+                    let poa = price_of_anarchy_trees(game, b, cap, group, &unlimited);
+                    let best = best_equilibrium_tree(game, b, cap, group, &unlimited);
+                    let eqs = match brute {
+                        Err(err) => {
+                            assert!(
+                                matches!(err, EnumError::CapExceeded { cap: c, .. } if c == cap),
+                                "{ctx}: {err:?}"
+                            );
+                            // The plain sweep reports the same coverage;
+                            // an orbit sweep may overshoot by an orbit.
+                            for got in [
+                                folded.map(|_| ()).unwrap_err(),
+                                pos.unwrap_err(),
+                                poa.unwrap_err(),
+                                best.unwrap_err(),
+                            ] {
+                                if group.is_trivial() {
+                                    assert_eq!(got, err, "{ctx}");
+                                } else {
+                                    assert!(
+                                        matches!(got, EnumError::CapExceeded { cap: c, .. } if c == cap),
+                                        "{ctx}: {got:?}"
+                                    );
+                                }
+                            }
+                            continue;
+                        }
+                        Ok(eqs) => eqs,
+                    };
+                    // Fold list: the plain sweep folds every equilibrium in
+                    // enumeration order; an orbit sweep folds one
+                    // representative per orbit, and the orbits it covers
+                    // are exactly the equilibria.
+                    let folded = folded.unwrap();
+                    let key = |t: &EquilibriumTree| (t.edges.clone(), t.weight.to_bits());
+                    if group.is_trivial() {
+                        let got: Vec<_> = folded.iter().map(|(t, s)| (key(t), *s)).collect();
+                        let want: Vec<_> = eqs.iter().map(|t| (key(t), 1u64)).collect();
+                        assert_eq!(got, want, "{ctx}: fold list");
+                    } else {
+                        let mut covered: Vec<(Vec<EdgeId>, u64)> = Vec::new();
+                        for (rep, size) in &folded {
+                            let mut orbit: Vec<Vec<EdgeId>> = group
+                                .elements()
+                                .map(|sigma| {
+                                    let mut t: Vec<EdgeId> = rep
+                                        .edges
+                                        .iter()
+                                        .map(|e| EdgeId(sigma[e.index()]))
+                                        .collect();
+                                    t.sort_unstable();
+                                    t
+                                })
+                                .collect();
+                            orbit.sort();
+                            orbit.dedup();
+                            assert_eq!(orbit[0], rep.edges, "{ctx}: rep is lex-minimal");
+                            assert_eq!(orbit.len() as u64, *size, "{ctx}: orbit size");
+                            covered.extend(orbit.into_iter().map(|t| {
+                                let w = g.weight_of(&t).to_bits();
+                                (t, w)
+                            }));
+                        }
+                        covered.sort();
+                        let mut want: Vec<_> = eqs.iter().map(key).collect();
+                        want.sort();
+                        assert_eq!(covered, want, "{ctx}: orbits cover the equilibria");
+                    }
+                    let ratio = |t: &EquilibriumTree| (t.weight / opt).to_bits();
+                    let min = brute_extreme(&eqs, true);
+                    assert_eq!(pos.unwrap().map(f64::to_bits), min.map(ratio), "{ctx}: PoS");
+                    assert_eq!(
+                        poa.unwrap().map(f64::to_bits),
+                        brute_extreme(&eqs, false).map(ratio),
+                        "{ctx}: PoA"
+                    );
+                    assert_eq!(best.unwrap().map(|t| key(&t)), min.map(key), "{ctx}: best");
+                }
+                // An expired budget cancels every driver.
+                let ctx = format!("case {case}, |G| = {}", group.order());
+                let none = |acc: (), _: EquilibriumTree, _: u64| acc;
+                assert_eq!(
+                    fold_equilibrium_trees(game, b, 1_000_000, group, (), none, &expired),
+                    Err(EnumError::Cancelled),
+                    "{ctx}"
+                );
+                for got in [
+                    price_of_stability(game, b, 1_000_000, group, &expired).map(|_| ()),
+                    price_of_anarchy_trees(game, b, 1_000_000, group, &expired).map(|_| ()),
+                    best_equilibrium_tree(game, b, 1_000_000, group, &expired).map(|_| ()),
+                ] {
+                    assert_eq!(got, Err(EnumError::Cancelled), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1201,7 +1306,9 @@ mod tests {
             !eqs.is_empty(),
             "potential descent guarantees an equilibrium"
         );
-        let pos = price_of_stability(&game, &b, 100).unwrap().unwrap();
+        let pos = price_of_stability(&game, &b, 100, &trivial(&game), &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert!((pos - 1.0).abs() < 1e-9, "all trees weigh n; PoS must be 1");
     }
 
@@ -1216,8 +1323,13 @@ mod tests {
             let b = SubsidyAssignment::zero(game.graph());
             let eqs = equilibrium_trees(&game, &b, 100_000).unwrap();
             assert!(!eqs.is_empty());
-            let pos = price_of_stability(&game, &b, 100_000).unwrap().unwrap();
-            let poa = price_of_anarchy_trees(&game, &b, 100_000).unwrap().unwrap();
+            let (group, unlimited) = (trivial(&game), Budget::unlimited());
+            let pos = price_of_stability(&game, &b, 100_000, &group, &unlimited)
+                .unwrap()
+                .unwrap();
+            let poa = price_of_anarchy_trees(&game, &b, 100_000, &group, &unlimited)
+                .unwrap()
+                .unwrap();
             assert!(pos >= 1.0 - 1e-9);
             assert!(poa >= pos - 1e-12);
         }

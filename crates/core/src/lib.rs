@@ -39,16 +39,14 @@ pub use coalition::{
 };
 pub use cost::{deviation_cost, deviation_weight, player_cost, social_cost_subsidized};
 pub use dynamics::{
-    best_response_dynamics, best_response_dynamics_budgeted, best_response_dynamics_naive,
-    dynamics_from_tree, DynamicsResult, MoveOrder,
+    best_response_dynamics_budgeted, best_response_dynamics_naive, dynamics_from_tree,
+    DynamicsResult, MoveOrder,
 };
 pub use enumerate::{
-    best_equilibrium_tree, best_equilibrium_tree_orbits, count_spanning_trees, equilibrium_trees,
-    fold_equilibrium_trees, fold_equilibrium_trees_budgeted, fold_equilibrium_trees_orbits,
-    fold_equilibrium_trees_orbits_budgeted, for_each_spanning_tree, for_each_spanning_tree_orbits,
-    orbit_max_member, orbit_min_member, price_of_anarchy_trees, price_of_anarchy_trees_orbits,
-    price_of_stability, price_of_stability_budgeted, price_of_stability_orbits,
-    price_of_stability_orbits_budgeted, spanning_trees, EdgeGroup, EnumError, EquilibriumTree,
+    best_equilibrium_tree, count_spanning_trees, equilibrium_trees, fold_equilibrium_trees,
+    for_each_spanning_tree, for_each_spanning_tree_orbits, orbit_max_member, orbit_min_member,
+    price_of_anarchy_trees, price_of_stability, spanning_trees, EdgeGroup, EnumError,
+    EquilibriumTree,
 };
 pub use equilibrium::{
     best_response, best_response_with, find_deviation, is_equilibrium, Deviation,

@@ -255,8 +255,8 @@ impl Executor {
         })
     }
 
-    /// Order-preserving parallel map consuming an owned vector (the shape
-    /// the rayon shim's `into_par_iter().map()` needs).
+    /// Order-preserving parallel map consuming an owned vector, for items
+    /// the closure takes by value.
     pub fn par_map_vec<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,

@@ -59,21 +59,17 @@ fn arc_index(n: usize, arcs: &[Arc]) -> Vec<Vec<(u128, u32)>> {
 /// or `max_rounds` rounds have been applied — stopping early only
 /// coarsens the result, never breaks invariance, because the round count
 /// at which a structure stabilizes is itself label-invariant.
-pub fn refine_partition(n: usize, arcs: &[Arc], seed: &[u32], max_rounds: usize) -> Refinement {
-    let mut unbounded = i64::MAX;
-    refine_partition_budgeted(n, arcs, seed, max_rounds, &mut unbounded)
-        .expect("an unbounded budget never trips")
-}
-
-/// [`refine_partition`] with a caller-shared **work budget**: every round
-/// costs `n + arcs.len()` units, debited from `work`. Returns `None`
-/// (budget exhausted mid-refinement) once `work` goes negative — the
-/// caller must then fall back wholesale, which is label-invariant
-/// because the work a structure consumes is a function of the structure,
-/// never of its labels. This is what keeps canonical-labeling searches
-/// (many refinement passes per request, on an attacker-supplied wire
-/// instance) bounded to a predictable total cost.
-pub fn refine_partition_budgeted(
+///
+/// `work` is a caller-shared **work budget**: every round costs
+/// `n + arcs.len()` units, debited from `work`. Returns `None` (budget
+/// exhausted mid-refinement) once `work` goes negative — the caller must
+/// then fall back wholesale, which is label-invariant because the work a
+/// structure consumes is a function of the structure, never of its
+/// labels. This is what keeps canonical-labeling searches (many
+/// refinement passes per request, on an attacker-supplied wire instance)
+/// bounded to a predictable total cost. A budget of `i64::MAX` never trips
+/// in practice.
+pub fn refine_partition(
     n: usize,
     arcs: &[Arc],
     seed: &[u32],
@@ -173,6 +169,11 @@ pub fn bfs_code(n: usize, arcs: &[Arc], colors: &[u32], root: u32) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    fn refine(n: usize, arcs: &[Arc], seed: &[u32], max_rounds: usize) -> Refinement {
+        let mut work = i64::MAX;
+        refine_partition(n, arcs, seed, max_rounds, &mut work).expect("no work bound")
+    }
+
     /// Arcs of an undirected unit-weight cycle on `n` nodes.
     fn cycle_arcs(n: u32) -> Vec<Arc> {
         let w = 1.0f64.to_bits() as u128;
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn uniform_cycle_does_not_refine() {
         let arcs = cycle_arcs(6);
-        let r = refine_partition(6, &arcs, &[0; 6], 64);
+        let r = refine(6, &arcs, &[0; 6], 64);
         assert_eq!(r.num_colors, 1, "a vertex-transitive graph stays one class");
     }
 
@@ -196,7 +197,7 @@ mod tests {
         let arcs = cycle_arcs(6);
         let mut seed = [0u32; 6];
         seed[0] = 1;
-        let r = refine_partition(6, &arcs, &seed, 64);
+        let r = refine(6, &arcs, &seed, 64);
         // Distance classes from node 0: {0}, {1,5}, {2,4}, {3}.
         assert_eq!(r.num_colors, 4);
         assert_eq!(r.colors[1], r.colors[5]);
@@ -214,7 +215,7 @@ mod tests {
             arcs.push((i, i + 1, key));
             arcs.push((i + 1, i, key));
         }
-        let r = refine_partition(4, &arcs, &[0; 4], 64);
+        let r = refine(4, &arcs, &[0; 4], 64);
         assert!(r.is_discrete(), "{:?}", r);
     }
 
@@ -237,8 +238,8 @@ mod tests {
             .iter()
             .map(|&(u, v, k)| (perm[u as usize], perm[v as usize], k))
             .collect();
-        let a = refine_partition(4, &arcs, &[0; 4], 64);
-        let b = refine_partition(4, &parcs, &[0; 4], 64);
+        let a = refine(4, &arcs, &[0; 4], 64);
+        let b = refine(4, &parcs, &[0; 4], 64);
         for (v, &image) in perm.iter().enumerate() {
             assert_eq!(a.colors[v], b.colors[image as usize], "node {v}");
         }
@@ -249,7 +250,7 @@ mod tests {
         let arcs = cycle_arcs(5);
         let mut seed = [0u32; 5];
         seed[2] = 1;
-        let r = refine_partition(5, &arcs, &seed, 64);
+        let r = refine(5, &arcs, &seed, 64);
         // Relabel by rotation: node v → v+1 (mod 5).
         let perm = [1u32, 2, 3, 4, 0];
         let parcs: Vec<Arc> = arcs
@@ -258,7 +259,7 @@ mod tests {
             .collect();
         let mut pseed = [0u32; 5];
         pseed[perm[2] as usize] = 1;
-        let pr = refine_partition(5, &parcs, &pseed, 64);
+        let pr = refine(5, &parcs, &pseed, 64);
         for v in 0..5u32 {
             assert_eq!(
                 bfs_code(5, &arcs, &r.colors, v),
@@ -273,7 +274,7 @@ mod tests {
         // One "player arc" pair with asymmetric keys: source and terminal
         // end up in different classes even though degrees match.
         let arcs: Vec<Arc> = vec![(0, 1, 1 << 64), (1, 0, 2 << 64)];
-        let r = refine_partition(2, &arcs, &[0; 2], 8);
+        let r = refine(2, &arcs, &[0; 2], 8);
         assert_eq!(r.num_colors, 2);
     }
 }

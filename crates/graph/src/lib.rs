@@ -17,7 +17,7 @@ pub mod paths;
 pub mod tree;
 pub mod unionfind;
 
-pub use canon::{bfs_code, condense, refine_partition, refine_partition_budgeted, Refinement};
+pub use canon::{bfs_code, condense, refine_partition, Refinement};
 pub use graph::{Edge, EdgeId, Graph, GraphError, NodeId};
 pub use harmonic::{bypass_path_length, harmonic, harmonic_diff};
 pub use mst::{is_minimum_spanning_tree, kruskal, mst_is_unique, mst_weight, prim};

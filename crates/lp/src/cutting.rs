@@ -6,15 +6,14 @@
 //! the LP can be solved by repeatedly solving a relaxation and adding the
 //! violated rows the oracle returns.
 //!
-//! Two oracle shapes are supported: the classic whole-point
-//! [`SeparationOracle`] (one call per relaxation, sequential), and the
-//! [`BatchSeparationOracle`] whose independently-separable items (one per
-//! player) are fanned out across [`ndg_exec`] worker threads by
-//! [`solve_with_batched_cuts`], each worker carrying its own scratch
-//! (e.g. a Dijkstra workspace). Batched rows are gathered **in item
-//! order**, so for any thread count the relaxation sees exactly the rows
-//! the sequential loop would add — cut generation is reproducible bit for
-//! bit.
+//! The oracle has one shape, [`BatchSeparationOracle`]: its
+//! independently-separable items (one per player) are fanned out across
+//! [`ndg_exec`] worker threads by [`solve_with_batched_cuts`], each worker
+//! carrying its own scratch (e.g. a Dijkstra workspace). Rows are gathered
+//! **in item order**, so for any thread count the relaxation sees exactly
+//! the rows the sequential loop would add — cut generation is
+//! reproducible bit for bit. The executor and a cooperative [`Budget`]
+//! are arguments of the one loop.
 
 use crate::problem::{LinearProgram, LpError, Row};
 use crate::simplex;
@@ -51,23 +50,6 @@ impl CutStats {
     }
 }
 
-/// A separation oracle: report rows violated at the current point.
-pub trait SeparationOracle {
-    /// Return rows (valid for the true feasible region) violated at `x` by
-    /// more than the oracle's own tolerance. An empty return certifies that
-    /// `x` is feasible for the full (implicitly constrained) program.
-    fn separate(&mut self, x: &[f64]) -> Vec<Row>;
-}
-
-impl<F> SeparationOracle for F
-where
-    F: FnMut(&[f64]) -> Vec<Row>,
-{
-    fn separate(&mut self, x: &[f64]) -> Vec<Row> {
-        self(x)
-    }
-}
-
 /// A separation oracle over independently-separable items (players): each
 /// item yields at most one violated row per round, and items do not
 /// interact within a round — which is what lets
@@ -92,25 +74,18 @@ pub trait BatchSeparationOracle: Sync {
     fn separate_item(&self, k: usize, scratch: &mut Self::Scratch) -> Option<Row>;
 }
 
-/// [`solve_with_cuts`] for a [`BatchSeparationOracle`]: every round, all
-/// items are separated concurrently on `ex` and the violated rows are
-/// added in item order. With `Executor::sequential()` (or `NDG_THREADS=1`)
-/// this is exactly the sequential per-player loop.
+/// Solve `lp` (treated as an initial relaxation; it is mutated by adding
+/// cuts) against `oracle`, up to `max_rounds` relaxations. Every round,
+/// all items are separated concurrently on `ex` and the violated rows are
+/// added in item order; with `Executor::sequential()` (or
+/// `NDG_THREADS=1`) this is exactly the sequential per-player loop.
+///
+/// `budget` is checked once per relaxation round (the natural chunk
+/// boundary — a round is one simplex solve plus one batched separation
+/// sweep) and the loop aborts with [`CutError::Cancelled`] when it
+/// expires. With `Budget::unlimited()` the relaxation sequence is
+/// untouched.
 pub fn solve_with_batched_cuts<O: BatchSeparationOracle>(
-    lp: &mut LinearProgram,
-    oracle: &mut O,
-    max_rounds: usize,
-    ex: &Executor,
-) -> Result<(LpSolution, CutStats), CutError> {
-    solve_with_batched_cuts_budgeted(lp, oracle, max_rounds, ex, &Budget::unlimited())
-}
-
-/// [`solve_with_batched_cuts`] under a cooperative [`Budget`]: the budget
-/// is checked once per relaxation round (the natural chunk boundary — a
-/// round is one simplex solve plus one batched separation sweep) and the
-/// loop aborts with [`CutError::Cancelled`] when it expires. With
-/// `Budget::unlimited()` the relaxation sequence is untouched.
-pub fn solve_with_batched_cuts_budgeted<O: BatchSeparationOracle>(
     lp: &mut LinearProgram,
     oracle: &mut O,
     max_rounds: usize,
@@ -192,80 +167,14 @@ impl From<LpError> for CutError {
     }
 }
 
-/// Solve `lp` (treated as an initial relaxation; it is mutated by adding
-/// cuts) against `oracle`, up to `max_rounds` relaxations.
-pub fn solve_with_cuts(
-    lp: &mut LinearProgram,
-    oracle: &mut dyn SeparationOracle,
-    max_rounds: usize,
-) -> Result<(LpSolution, CutStats), CutError> {
-    let mut stats = CutStats::default();
-    for _ in 0..max_rounds {
-        stats.rounds += 1;
-        let sol = simplex::solve(lp)?;
-        if sol.status != LpStatus::Optimal {
-            return Err(CutError::BadRelaxation(sol.status));
-        }
-        let cuts = oracle.separate(&sol.x);
-        if cuts.is_empty() {
-            stats.publish();
-            return Ok((sol, stats));
-        }
-        for cut in cuts {
-            lp.add_row(cut)?;
-            stats.cuts_added += 1;
-        }
-    }
-    Err(CutError::RoundLimit(max_rounds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{LinearProgram, Row, RowOp};
 
-    /// Separate over the exponentially many constraints
-    /// `Σ_{i∈S} x_i ≥ |S|` for all nonempty S ⊆ {0,1,2}; equivalent to
-    /// `x_i ≥ 1` each, so minimizing Σx gives 3.
-    #[test]
-    fn cutting_plane_reaches_full_lp_optimum() {
-        let mut lp = LinearProgram::new();
-        for _ in 0..3 {
-            lp.add_var(1.0, 0.0, 10.0).unwrap();
-        }
-        let mut oracle = |x: &[f64]| -> Vec<Row> {
-            let mut cuts = Vec::new();
-            for mask in 1u32..8 {
-                let members: Vec<usize> = (0..3).filter(|i| mask >> i & 1 == 1).collect();
-                let lhs: f64 = members.iter().map(|&i| x[i]).sum();
-                if lhs < members.len() as f64 - 1e-7 {
-                    cuts.push(Row::new(
-                        members.iter().map(|&i| (i, 1.0)).collect(),
-                        RowOp::Ge,
-                        members.len() as f64,
-                    ));
-                }
-            }
-            cuts
-        };
-        let (sol, stats) = solve_with_cuts(&mut lp, &mut oracle, 50).unwrap();
-        assert!((sol.objective - 3.0).abs() < 1e-7);
-        assert!(stats.rounds >= 2);
-        assert!(stats.cuts_added >= 3);
-    }
-
-    #[test]
-    fn immediate_feasibility_one_round() {
-        let mut lp = LinearProgram::new();
-        lp.add_var(1.0, 2.0, 5.0).unwrap();
-        let mut oracle = |_x: &[f64]| Vec::new();
-        let (sol, stats) = solve_with_cuts(&mut lp, &mut oracle, 5).unwrap();
-        assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.cuts_added, 0);
-        assert!((sol.objective - 2.0).abs() < 1e-9);
-    }
-
-    /// Batched version of the subset-sum oracle: item = one subset mask.
+    /// Separation over the exponentially many constraints
+    /// `Σ_{i∈S} x_i ≥ |S|` for all nonempty S ⊆ {0,1,2}, one item per
+    /// subset mask; equivalent to `x_i ≥ 1` each, so minimizing Σx gives 3.
     struct SubsetOracle {
         x: Vec<f64>,
     }
@@ -299,17 +208,82 @@ mod tests {
         }
     }
 
+    /// A one-item oracle that ignores the point and returns `cut(round)`,
+    /// counting rounds from 1.
+    struct ScriptedOracle<F> {
+        round: usize,
+        cut: F,
+    }
+
+    impl<F: Fn(usize) -> Option<Row> + Sync> BatchSeparationOracle for ScriptedOracle<F> {
+        type Scratch = ();
+
+        fn batch_size(&self) -> usize {
+            1
+        }
+
+        fn prepare(&mut self, _x: &[f64]) {
+            self.round += 1;
+        }
+
+        fn make_scratch(&self) -> Self::Scratch {}
+
+        fn separate_item(&self, _k: usize, _scratch: &mut ()) -> Option<Row> {
+            (self.cut)(self.round)
+        }
+    }
+
+    fn subset_lp() -> LinearProgram {
+        let mut lp = LinearProgram::new();
+        for _ in 0..3 {
+            lp.add_var(1.0, 0.0, 10.0).unwrap();
+        }
+        lp
+    }
+
+    fn solve_sequential<O: BatchSeparationOracle>(
+        lp: &mut LinearProgram,
+        oracle: &mut O,
+        max_rounds: usize,
+    ) -> Result<(LpSolution, CutStats), CutError> {
+        let ex = Executor::sequential();
+        solve_with_batched_cuts(lp, oracle, max_rounds, &ex, &Budget::unlimited())
+    }
+
+    #[test]
+    fn cutting_plane_reaches_full_lp_optimum() {
+        let mut lp = subset_lp();
+        let mut oracle = SubsetOracle { x: Vec::new() };
+        let (sol, stats) = solve_sequential(&mut lp, &mut oracle, 50).unwrap();
+        assert!((sol.objective - 3.0).abs() < 1e-7);
+        assert!(stats.rounds >= 2);
+        assert!(stats.cuts_added >= 3);
+    }
+
+    #[test]
+    fn immediate_feasibility_one_round() {
+        let mut lp = LinearProgram::new();
+        lp.add_var(1.0, 2.0, 5.0).unwrap();
+        let mut oracle = ScriptedOracle {
+            round: 0,
+            cut: |_| None,
+        };
+        let (sol, stats) = solve_sequential(&mut lp, &mut oracle, 5).unwrap();
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.cuts_added, 0);
+        assert!((sol.objective - 2.0).abs() < 1e-9);
+    }
+
     #[test]
     fn batched_cuts_match_sequential_for_every_thread_count() {
         let mut reference: Option<(Vec<f64>, usize, usize)> = None;
         for threads in [1usize, 2, 4, 8] {
-            let mut lp = LinearProgram::new();
-            for _ in 0..3 {
-                lp.add_var(1.0, 0.0, 10.0).unwrap();
-            }
+            let mut lp = subset_lp();
             let mut oracle = SubsetOracle { x: Vec::new() };
-            let ex = ndg_exec::Executor::new(threads);
-            let (sol, stats) = solve_with_batched_cuts(&mut lp, &mut oracle, 50, &ex).unwrap();
+            let ex = Executor::new(threads);
+            let (sol, stats) =
+                solve_with_batched_cuts(&mut lp, &mut oracle, 50, &ex, &Budget::unlimited())
+                    .unwrap();
             assert!((sol.objective - 3.0).abs() < 1e-7);
             match &reference {
                 None => reference = Some((sol.x.clone(), stats.rounds, stats.cuts_added)),
@@ -325,42 +299,24 @@ mod tests {
 
     #[test]
     fn expired_budget_cancels_before_first_round() {
-        let mut lp = LinearProgram::new();
-        for _ in 0..3 {
-            lp.add_var(1.0, 0.0, 10.0).unwrap();
-        }
+        let mut lp = subset_lp();
         let mut oracle = SubsetOracle { x: Vec::new() };
-        let ex = ndg_exec::Executor::sequential();
+        let ex = Executor::sequential();
         let budget = Budget::with_deadline(std::time::Duration::ZERO);
-        let err =
-            solve_with_batched_cuts_budgeted(&mut lp, &mut oracle, 50, &ex, &budget).unwrap_err();
+        let err = solve_with_batched_cuts(&mut lp, &mut oracle, 50, &ex, &budget).unwrap_err();
         assert_eq!(err, CutError::Cancelled);
     }
 
     #[test]
-    fn unlimited_budget_matches_plain_entry_point() {
-        let solve = |budgeted: bool| {
-            let mut lp = LinearProgram::new();
-            for _ in 0..3 {
-                lp.add_var(1.0, 0.0, 10.0).unwrap();
-            }
+    fn unexpired_deadline_matches_unlimited_budget() {
+        let solve = |budget: &Budget| {
+            let mut lp = subset_lp();
             let mut oracle = SubsetOracle { x: Vec::new() };
-            let ex = ndg_exec::Executor::sequential();
-            if budgeted {
-                solve_with_batched_cuts_budgeted(
-                    &mut lp,
-                    &mut oracle,
-                    50,
-                    &ex,
-                    &Budget::unlimited(),
-                )
-                .unwrap()
-            } else {
-                solve_with_batched_cuts(&mut lp, &mut oracle, 50, &ex).unwrap()
-            }
+            let ex = Executor::sequential();
+            solve_with_batched_cuts(&mut lp, &mut oracle, 50, &ex, budget).unwrap()
         };
-        let (a, sa) = solve(false);
-        let (b, sb) = solve(true);
+        let (a, sa) = solve(&Budget::unlimited());
+        let (b, sb) = solve(&Budget::with_deadline(std::time::Duration::from_secs(3600)));
         assert_eq!(a.x, b.x);
         assert_eq!(sa.rounds, sb.rounds);
         assert_eq!(sa.cuts_added, sb.cuts_added);
@@ -370,14 +326,13 @@ mod tests {
     fn round_limit_reported() {
         let mut lp = LinearProgram::new();
         lp.add_var(1.0, 0.0, 10.0).unwrap();
-        // Oracle that is never satisfied (returns a fresh valid-but-cutting row
-        // forever by tightening x ≥ k/1000; stays feasible so rounds keep going).
-        let mut k = 0usize;
-        let mut oracle = move |_x: &[f64]| {
-            k += 1;
-            vec![Row::new(vec![(0, 1.0)], RowOp::Ge, k as f64 / 1000.0)]
+        // Never satisfied: a fresh valid cut every round, tightening
+        // x ≥ k/1000, so the relaxation stays feasible and rounds go on.
+        let mut oracle = ScriptedOracle {
+            round: 0,
+            cut: |k| Some(Row::new(vec![(0, 1.0)], RowOp::Ge, k as f64 / 1000.0)),
         };
-        let err = solve_with_cuts(&mut lp, &mut oracle, 4).unwrap_err();
+        let err = solve_sequential(&mut lp, &mut oracle, 4).unwrap_err();
         assert_eq!(err, CutError::RoundLimit(4));
     }
 
@@ -385,16 +340,12 @@ mod tests {
     fn infeasible_cut_surfaces_as_bad_relaxation() {
         let mut lp = LinearProgram::new();
         lp.add_var(1.0, 0.0, 1.0).unwrap();
-        let mut first = true;
-        let mut oracle = move |_x: &[f64]| {
-            if first {
-                first = false;
-                vec![Row::new(vec![(0, 1.0)], RowOp::Ge, 5.0)] // impossible with hi=1
-            } else {
-                vec![]
-            }
+        // x ≥ 5 is impossible with hi = 1.
+        let mut oracle = ScriptedOracle {
+            round: 0,
+            cut: |k| (k == 1).then(|| Row::new(vec![(0, 1.0)], RowOp::Ge, 5.0)),
         };
-        let err = solve_with_cuts(&mut lp, &mut oracle, 5).unwrap_err();
+        let err = solve_sequential(&mut lp, &mut oracle, 5).unwrap_err();
         assert_eq!(err, CutError::BadRelaxation(LpStatus::Infeasible));
     }
 }

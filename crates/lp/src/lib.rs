@@ -11,10 +11,7 @@ pub mod problem;
 pub mod simplex;
 pub mod solution;
 
-pub use cutting::{
-    solve_with_batched_cuts, solve_with_batched_cuts_budgeted, solve_with_cuts,
-    BatchSeparationOracle, CutError, CutStats, SeparationOracle,
-};
+pub use cutting::{solve_with_batched_cuts, BatchSeparationOracle, CutError, CutStats};
 pub use problem::{LinearProgram, LpError, Row, RowOp};
 pub use simplex::solve;
 pub use solution::{LpSolution, LpStatus};

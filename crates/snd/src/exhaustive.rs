@@ -2,19 +2,14 @@
 //! with LP (3), and expose the budget→weight Pareto frontier.
 //!
 //! This is the ground truth the heuristics and the E7 budget sweep are
-//! compared against. Trees are priced through the rayon interface, which
-//! the vendored shim fans out across `ndg-exec` worker threads (order
-//! preserved, `NDG_THREADS` override honoured) — one LP (3) solve per
-//! tree per worker.
+//! compared against. Trees are priced on the environment-default
+//! `ndg-exec` executor (order preserved, `NDG_THREADS` override
+//! honoured) — one LP (3) solve per tree per worker.
 
 use crate::{SndDesign, SndError};
-use ndg_core::{
-    count_spanning_trees, for_each_spanning_tree_orbits, spanning_trees, EdgeGroup, EnumError,
-    NetworkDesignGame,
-};
+use ndg_core::{spanning_trees, NetworkDesignGame};
+use ndg_exec::Executor;
 use ndg_graph::EdgeId;
-use rayon::prelude::*;
-use std::ops::ControlFlow;
 
 /// One priced spanning tree.
 #[derive(Clone, Debug)]
@@ -34,9 +29,9 @@ pub fn price_all_trees(game: &NetworkDesignGame, cap: usize) -> Result<Vec<Price
     }
     let g = game.graph();
     let trees = spanning_trees(g, cap)?;
-    let mut priced: Vec<PricedTree> = trees
-        .into_par_iter()
-        .map(|edges| {
+    // Every tree is priced before the first error (in input order) wins.
+    let mut priced: Vec<PricedTree> = Executor::from_env()
+        .par_map_vec(trees, |edges| {
             let weight = g.weight_of(&edges);
             let min_subsidy = ndg_sne::lp_broadcast::enforce_tree_lp(game, &edges)
                 .map(|s| s.cost)
@@ -47,6 +42,7 @@ pub fn price_all_trees(game: &NetworkDesignGame, cap: usize) -> Result<Vec<Price
                 min_subsidy,
             })
         })
+        .into_iter()
         .collect::<Result<_, SndError>>()?;
     priced.sort_by(|a, b| {
         a.weight
@@ -72,9 +68,8 @@ pub fn pareto_frontier(game: &NetworkDesignGame, cap: usize) -> Result<Vec<Paret
     let priced = price_all_trees(game, cap)?;
     let mut frontier: Vec<ParetoPoint> = Vec::new();
     let mut best_budget = f64::INFINITY;
-    // priced is sorted by weight ascending; walk from the heaviest down so
-    // "cheapest budget so far" tracks lighter-or-equal alternatives...
-    // Simpler: iterate ascending by weight and record decreasing budgets.
+    // `priced` is sorted by weight ascending: record strictly decreasing
+    // budgets.
     for t in &priced {
         if t.min_subsidy < best_budget - 1e-12 {
             best_budget = t.min_subsidy;
@@ -127,132 +122,6 @@ pub fn min_weight_within_budget_aon(
     let mut trees = spanning_trees(g, cap)?;
     trees.sort_by(|a, b| g.weight_of(a).total_cmp(&g.weight_of(b)));
     for tree in trees {
-        let sol = ndg_aon::exact::min_aon_subsidy(game, &tree, node_limit)
-            .map_err(|e| SndError::Sne(e.to_string()))?;
-        if sol.cost <= budget + 1e-9 {
-            let subsidies = ndg_core::SubsidyAssignment::all_or_nothing(g, &sol.edges);
-            return Ok(SndDesign {
-                weight: g.weight_of(&tree),
-                tree,
-                subsidy_cost: sol.cost,
-                subsidies,
-            });
-        }
-    }
-    Err(SndError::NoDesign)
-}
-
-/// Collect one representative (with its orbit size) per spanning-tree
-/// orbit, under the same covered-tree cap semantics as the orbit folds:
-/// the cap counts orbit-weighted trees, so it trips exactly when
-/// [`spanning_trees`] would.
-fn orbit_representatives(
-    game: &NetworkDesignGame,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<Vec<(Vec<EdgeId>, u64)>, SndError> {
-    let g = game.graph();
-    let mut reps: Vec<(Vec<EdgeId>, u64)> = Vec::new();
-    let mut covered = 0u64;
-    let mut capped = false;
-    for_each_spanning_tree_orbits(g, group, |tree, size| {
-        if covered >= cap as u64 {
-            capped = true;
-            return ControlFlow::Break(());
-        }
-        covered += size;
-        reps.push((tree.to_vec(), size));
-        ControlFlow::Continue(())
-    })?;
-    if capped || covered > cap as u64 {
-        return Err(SndError::Enum(EnumError::CapExceeded {
-            cap,
-            visited: covered,
-            estimate: count_spanning_trees(g),
-        }));
-    }
-    Ok(reps)
-}
-
-/// Price one representative per spanning-tree orbit, each carrying its
-/// orbit size. The LP (3) enforcement cost is automorphism-*invariant as a
-/// real number* (the LP is label-independent), so pricing the
-/// representative prices the whole orbit — but simplex pivots are not
-/// bitwise label-invariant, so aggregates built on these prices (frontier
-/// thresholds, decision answers) agree with the unpruned path to solver
-/// tolerance rather than bit-for-bit. The bitwise-identity contract lives
-/// on the equilibrium drivers in `ndg_core::enumerate`.
-pub fn price_orbit_representatives(
-    game: &NetworkDesignGame,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<Vec<(PricedTree, u64)>, SndError> {
-    if !game.is_broadcast() {
-        return Err(SndError::NotBroadcast);
-    }
-    let g = game.graph();
-    let reps = orbit_representatives(game, cap, group)?;
-    let mut priced: Vec<(PricedTree, u64)> = reps
-        .into_par_iter()
-        .map(|(edges, size)| {
-            let weight = g.weight_of(&edges);
-            let min_subsidy = ndg_sne::lp_broadcast::enforce_tree_lp(game, &edges)
-                .map(|s| s.cost)
-                .map_err(|e| SndError::Sne(e.to_string()))?;
-            Ok((
-                PricedTree {
-                    edges,
-                    weight,
-                    min_subsidy,
-                },
-                size,
-            ))
-        })
-        .collect::<Result<_, SndError>>()?;
-    priced.sort_by(|(a, _), (b, _)| {
-        a.weight
-            .total_cmp(&b.weight)
-            .then_with(|| a.min_subsidy.total_cmp(&b.min_subsidy))
-    });
-    Ok(priced)
-}
-
-/// Orbit-pruned [`snd_decision`]: one LP (3) solve per orbit. The answer is
-/// invariant under automorphisms (weight and enforcement cost are), so
-/// this agrees with the unpruned decision up to solver tolerance at exact
-/// threshold ties.
-pub fn snd_decision_orbits(
-    game: &NetworkDesignGame,
-    budget: f64,
-    k: f64,
-    cap: usize,
-    group: &EdgeGroup,
-) -> Result<bool, SndError> {
-    let priced = price_orbit_representatives(game, cap, group)?;
-    Ok(priced
-        .iter()
-        .any(|(t, _)| t.weight <= k + 1e-9 && t.min_subsidy <= budget + 1e-9))
-}
-
-/// Orbit-pruned [`min_weight_within_budget_aon`]: one AoN branch-and-bound
-/// per orbit, scanning representatives in weight order. The returned
-/// design's weight and subsidy cost match the unpruned solver (AoN cost is
-/// automorphism-invariant); the witness tree is the orbit's lex-minimal
-/// representative, which may be a relabeled copy of the unpruned witness.
-pub fn min_weight_within_budget_aon_orbits(
-    game: &NetworkDesignGame,
-    budget: f64,
-    cap: usize,
-    node_limit: usize,
-    group: &EdgeGroup,
-) -> Result<SndDesign, SndError> {
-    if !game.is_broadcast() {
-        return Err(SndError::NotBroadcast);
-    }
-    let g = game.graph();
-    let mut reps = orbit_representatives(game, cap, group)?;
-    reps.sort_by(|(a, _), (b, _)| g.weight_of(a).total_cmp(&g.weight_of(b)));
-    for (tree, _) in reps {
         let sol = ndg_aon::exact::min_aon_subsidy(game, &tree, node_limit)
             .map_err(|e| SndError::Sne(e.to_string()))?;
         if sol.cost <= budget + 1e-9 {
@@ -334,7 +203,9 @@ mod tests {
             let design = min_weight_within_budget(&game, 0.0, 100_000).unwrap();
             // Must match the enumerator's best equilibrium tree.
             let b0 = ndg_core::SubsidyAssignment::zero(game.graph());
-            let best = ndg_core::best_equilibrium_tree(&game, &b0, 100_000)
+            let trivial = ndg_core::EdgeGroup::trivial(game.graph().edge_count());
+            let unlimited = ndg_exec::Budget::unlimited();
+            let best = ndg_core::best_equilibrium_tree(&game, &b0, 100_000, &trivial, &unlimited)
                 .unwrap()
                 .expect("unsubsidized equilibrium always exists");
             assert!(
@@ -386,42 +257,6 @@ mod tests {
             let a = min_weight_within_budget_aon(&game, budget, 100_000, 1_000_000).unwrap();
             assert!(a.weight >= f.weight - 1e-9);
             assert!(a.subsidies.is_all_or_nothing(game.graph()));
-        }
-    }
-
-    #[test]
-    fn orbit_pricing_agrees_with_unpruned_on_symmetric_families() {
-        for g in [
-            generators::cycle_graph(8, 1.0),
-            generators::hypercube_graph(3, 1.0),
-        ] {
-            let game = broadcast(g);
-            let b0 = ndg_core::SubsidyAssignment::zero(game.graph());
-            let group = crate::orbits::broadcast_edge_group(&game, &b0);
-            assert!(!group.is_trivial());
-            let full = price_all_trees(&game, 100_000).unwrap();
-            let reps = price_orbit_representatives(&game, 100_000, &group).unwrap();
-            assert!(reps.len() < full.len(), "pruning must price fewer trees");
-            let covered: u64 = reps.iter().map(|(_, s)| s).sum();
-            assert_eq!(covered as usize, full.len(), "orbit sizes must cover");
-            // Decision answers agree across a budget sweep.
-            let mst_w = mst_weight(game.graph()).unwrap();
-            for frac in [0.0, 0.1, 0.3, 1.0] {
-                for k in [mst_w, mst_w * 1.5] {
-                    assert_eq!(
-                        snd_decision(&game, frac * mst_w, k, 100_000).unwrap(),
-                        snd_decision_orbits(&game, frac * mst_w, k, 100_000, &group).unwrap()
-                    );
-                }
-            }
-            // AoN optimum weight/cost match (witness may be relabeled).
-            let a = min_weight_within_budget_aon(&game, mst_w * 0.2, 100_000, 1_000_000).unwrap();
-            let ao =
-                min_weight_within_budget_aon_orbits(&game, mst_w * 0.2, 100_000, 1_000_000, &group)
-                    .unwrap();
-            assert!((a.weight - ao.weight).abs() < 1e-9);
-            assert!((a.subsidy_cost - ao.subsidy_cost).abs() < 1e-9);
-            assert!(game.graph().is_spanning_tree(&ao.tree));
         }
     }
 

@@ -10,8 +10,8 @@
 
 use crate::SndError;
 use ndg_core::{spanning_trees, NetworkDesignGame, State, SubsidyAssignment};
+use ndg_exec::Executor;
 use ndg_graph::EdgeId;
-use rayon::prelude::*;
 
 /// A priced multicast design.
 #[derive(Clone, Debug)]
@@ -38,15 +38,12 @@ pub fn min_weight_within_budget_multicast(
     let trees = spanning_trees(g, cap)?;
     // Price the distinct induced states (many trees induce the same
     // forest; dedup on the established edge set).
-    let mut candidates: Vec<(Vec<EdgeId>, f64)> = trees
-        .into_par_iter()
-        .map(|tree| {
-            let (state, _) = State::from_tree(game, &tree).expect("valid tree");
-            let established = state.established_edges();
-            let weight = state.weight(g);
-            (established, weight)
-        })
-        .collect();
+    let mut candidates: Vec<(Vec<EdgeId>, f64)> = Executor::from_env().par_map_vec(trees, |tree| {
+        let (state, _) = State::from_tree(game, &tree).expect("valid tree");
+        let established = state.established_edges();
+        let weight = state.weight(g);
+        (established, weight)
+    });
     candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     candidates.dedup_by(|a, b| a.0 == b.0);
 

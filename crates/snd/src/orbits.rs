@@ -1,25 +1,21 @@
-//! Orbit-pruned exact drivers: discover the automorphism group of a
-//! broadcast game through `ndg-canon`, close its edge action into an
-//! [`EdgeGroup`], and run the symmetry-reduced enumeration from
-//! `ndg_core::enumerate`.
+//! The automorphism group that orbit-prunes the exact sweeps: discover
+//! the automorphisms of a broadcast game through `ndg-canon` and close
+//! their edge action into an [`EdgeGroup`], which the one sweep driver in
+//! `ndg_core::enumerate` takes as an argument.
 //!
 //! Soundness layering: `ndg-canon` *verifies* every reported generator
 //! against the decorated instance (subsidies enter as edge attachments, so
 //! a generator can never move a subsidized edge onto an unsubsidized one),
 //! and `EdgeGroup` degrades to the trivial group on any malformed or
-//! oversized input — under which every driver here is *exactly* the
-//! unpruned sweep. The PoS/PoA/best-tree results are bit-identical to the
-//! unpruned drivers by construction (the orbit fold re-evaluates `wgt` on
-//! every orbit member before taking minima — see
-//! [`ndg_core::orbit_min_member`]); `snd::tests` and the
-//! `orbit_pruning` integration suite assert this across thread counts.
+//! oversized input — under which the sweep is *exactly* the unpruned one.
+//! The PoS/PoA/best-tree results are bit-identical to the unpruned sweep by
+//! construction (the orbit fold re-evaluates `wgt` on every orbit member
+//! before taking minima — see [`ndg_core::orbit_min_member`]); `snd::tests`
+//! and the `orbit_pruning` integration suite assert this across thread
+//! counts.
 
-use crate::SndError;
 use ndg_canon::{automorphisms, automorphisms_with, Attachments, Instance};
-use ndg_core::{
-    price_of_stability_orbits_budgeted, EdgeGroup, NetworkDesignGame, SubsidyAssignment,
-};
-use ndg_exec::Budget;
+use ndg_core::{EdgeGroup, NetworkDesignGame, SubsidyAssignment};
 
 /// The edge automorphism group of the subsidized broadcast game, as the
 /// orbit-pruned enumeration consumes it. Trivial whenever `ndg-canon`
@@ -42,27 +38,11 @@ pub fn broadcast_edge_group(game: &NetworkDesignGame, b: &SubsidyAssignment) -> 
     EdgeGroup::from_generators(m, &gens.edge)
 }
 
-/// Orbit-pruned exact PoS: [`crate::pos::exact_pos`] through the
-/// symmetry-reduced sweep. Bit-identical result; on symmetric instances
-/// the Lemma-2 scan runs once per tree *orbit* instead of once per tree.
-pub fn exact_pos_orbits(game: &NetworkDesignGame, cap: usize) -> Result<f64, SndError> {
-    exact_pos_orbits_budgeted(game, cap, &Budget::unlimited())
-}
-
-/// [`exact_pos_orbits`] under a cooperative [`Budget`].
-pub fn exact_pos_orbits_budgeted(
-    game: &NetworkDesignGame,
-    cap: usize,
-    budget: &Budget,
-) -> Result<f64, SndError> {
-    let b0 = SubsidyAssignment::zero(game.graph());
-    let group = broadcast_edge_group(game, &b0);
-    price_of_stability_orbits_budgeted(game, &b0, cap, &group, budget)?.ok_or(SndError::NoDesign)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndg_core::price_of_stability;
+    use ndg_exec::Budget;
     use ndg_graph::{generators, NodeId};
 
     fn broadcast(g: ndg_graph::Graph) -> NetworkDesignGame {
@@ -99,8 +79,13 @@ mod tests {
         }
         for g in symmetric {
             let game = broadcast(g);
-            let plain = crate::pos::exact_pos_unpruned(&game, 100_000).unwrap();
-            let orbit = exact_pos_orbits(&game, 100_000).unwrap();
+            let b0 = SubsidyAssignment::zero(game.graph());
+            let trivial = EdgeGroup::trivial(game.graph().edge_count());
+            let unlimited = Budget::unlimited();
+            let plain = price_of_stability(&game, &b0, 100_000, &trivial, &unlimited)
+                .unwrap()
+                .unwrap();
+            let orbit = crate::pos::exact_pos_budgeted(&game, 100_000, &unlimited).unwrap();
             assert_eq!(plain.to_bits(), orbit.to_bits(), "PoS diverged");
         }
     }

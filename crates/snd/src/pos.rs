@@ -10,49 +10,28 @@
 
 use crate::SndError;
 use ndg_core::{
-    dynamics_from_tree, price_of_stability, price_of_stability_budgeted, MoveOrder,
-    NetworkDesignGame, SubsidyAssignment,
+    dynamics_from_tree, price_of_stability, MoveOrder, NetworkDesignGame, SubsidyAssignment,
 };
 use ndg_exec::Budget;
 use ndg_graph::{harmonic, kruskal, mst_weight};
 
-/// Exact PoS over spanning-tree states of the unsubsidized game.
+/// Exact PoS over spanning-tree states of the unsubsidized game, under a
+/// cooperative [`Budget`] checked at the enumerator's chunk boundaries.
+/// Expiry surfaces as `SndError::Enum(EnumError::Cancelled)`.
 ///
-/// Since the orbit-pruned sweep, this routes through
-/// [`crate::orbits::exact_pos_orbits`]: on symmetric instances the Lemma-2
-/// scan runs once per tree *orbit*, on asymmetric instances the trivial
-/// group degrades it to the classic sweep. The result is bit-identical
-/// either way ([`price_of_stability`] stays available for direct use).
-pub fn exact_pos(game: &NetworkDesignGame, cap: usize) -> Result<f64, SndError> {
-    crate::orbits::exact_pos_orbits(game, cap)
-}
-
-/// [`exact_pos`] under a cooperative [`Budget`], checked at the
-/// enumerator's chunk boundaries. Expiry surfaces as
-/// `SndError::Enum(EnumError::Cancelled)`.
+/// The sweep is orbit-pruned by the game's automorphism group
+/// ([`crate::orbits::broadcast_edge_group`]): on symmetric instances the
+/// Lemma-2 scan runs once per tree *orbit*, on asymmetric instances the
+/// trivial group degrades it to the plain sweep. The result is
+/// bit-identical either way.
 pub fn exact_pos_budgeted(
     game: &NetworkDesignGame,
     cap: usize,
     budget: &Budget,
 ) -> Result<f64, SndError> {
-    crate::orbits::exact_pos_orbits_budgeted(game, cap, budget)
-}
-
-/// The pre-orbit exact PoS: the unpruned sweep, kept callable for
-/// equivalence tests and benchmarks.
-pub fn exact_pos_unpruned(game: &NetworkDesignGame, cap: usize) -> Result<f64, SndError> {
     let b0 = SubsidyAssignment::zero(game.graph());
-    price_of_stability(game, &b0, cap)?.ok_or(SndError::NoDesign)
-}
-
-/// [`exact_pos_unpruned`] under a cooperative [`Budget`].
-pub fn exact_pos_unpruned_budgeted(
-    game: &NetworkDesignGame,
-    cap: usize,
-    budget: &Budget,
-) -> Result<f64, SndError> {
-    let b0 = SubsidyAssignment::zero(game.graph());
-    price_of_stability_budgeted(game, &b0, cap, budget)?.ok_or(SndError::NoDesign)
+    let group = crate::orbits::broadcast_edge_group(game, &b0);
+    price_of_stability(game, &b0, cap, &group, budget)?.ok_or(SndError::NoDesign)
 }
 
 /// The best-response-from-OPT upper bound: descend the potential from the
@@ -100,7 +79,7 @@ mod tests {
             let n = rng.random_range(3..7usize);
             let g = generators::random_connected(n, 0.5, &mut rng, 0.3..3.0);
             let game = broadcast(g);
-            let pos = exact_pos(&game, 100_000).unwrap();
+            let pos = exact_pos_budgeted(&game, 100_000, &Budget::unlimited()).unwrap();
             let (br_ratio, h_n) = br_from_opt_bound(&game).unwrap();
             assert!(pos >= 1.0 - 1e-9);
             assert!(pos <= br_ratio + 1e-9, "PoS {pos} > BR bound {br_ratio}");

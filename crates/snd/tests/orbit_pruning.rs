@@ -1,7 +1,8 @@
-//! Satellite property suite for the orbit-pruned enumeration: the pruned
-//! drivers must be **bit-identical** to the unpruned sweeps — same PoS,
-//! PoA, and best-tree bits at every thread count — and the orbit sizes
-//! reported to the fold must sum to the Kirchhoff spanning-tree count.
+//! Satellite property suite for the orbit-pruned enumeration: the sweep
+//! under the game's automorphism group must be **bit-identical** to the
+//! sweep under the trivial group — same PoS, PoA, and best-tree bits at
+//! every thread count — and the orbit sizes reported to the fold must sum
+//! to the Kirchhoff spanning-tree count.
 //!
 //! Everything lives in one `#[test]`: the thread-count axis is driven
 //! through the `NDG_THREADS` environment variable, and cargo runs tests
@@ -9,13 +10,13 @@
 //! process-global env var would race.
 
 use ndg_core::{
-    best_equilibrium_tree, best_equilibrium_tree_orbits, count_spanning_trees,
-    for_each_spanning_tree_orbits, price_of_anarchy_trees, price_of_anarchy_trees_orbits,
-    NetworkDesignGame, SubsidyAssignment,
+    best_equilibrium_tree, count_spanning_trees, for_each_spanning_tree_orbits,
+    price_of_anarchy_trees, price_of_stability, EdgeGroup, NetworkDesignGame, SubsidyAssignment,
 };
+use ndg_exec::Budget;
 use ndg_graph::{generators, NodeId};
-use ndg_snd::orbits::{broadcast_edge_group, exact_pos_orbits};
-use ndg_snd::pos::exact_pos_unpruned;
+use ndg_snd::orbits::broadcast_edge_group;
+use ndg_snd::pos::exact_pos_budgeted;
 use rand::prelude::*;
 use std::ops::ControlFlow;
 
@@ -50,6 +51,8 @@ fn orbit_pruning_is_bit_identical_and_counts_every_tree() {
             let game = broadcast(g);
             let b0 = SubsidyAssignment::zero(game.graph());
             let group = broadcast_edge_group(&game, &b0);
+            let trivial = EdgeGroup::trivial(game.graph().edge_count());
+            let unlimited = Budget::unlimited();
 
             // Orbit sizes partition the tree set: Σ |orbit| = Kirchhoff.
             let mut covered: u64 = 0;
@@ -68,8 +71,10 @@ fn orbit_pruning_is_bit_identical_and_counts_every_tree() {
             assert!(reps <= covered);
 
             // PoS bits.
-            let plain = exact_pos_unpruned(&game, CAP).unwrap();
-            let orbit = exact_pos_orbits(&game, CAP).unwrap();
+            let plain = price_of_stability(&game, &b0, CAP, &trivial, &unlimited)
+                .unwrap()
+                .unwrap();
+            let orbit = exact_pos_budgeted(&game, CAP, &unlimited).unwrap();
             assert_eq!(
                 plain.to_bits(),
                 orbit.to_bits(),
@@ -77,8 +82,10 @@ fn orbit_pruning_is_bit_identical_and_counts_every_tree() {
             );
 
             // PoA bits.
-            let plain = price_of_anarchy_trees(&game, &b0, CAP).unwrap().unwrap();
-            let orbit = price_of_anarchy_trees_orbits(&game, &b0, CAP, &group)
+            let plain = price_of_anarchy_trees(&game, &b0, CAP, &trivial, &unlimited)
+                .unwrap()
+                .unwrap();
+            let orbit = price_of_anarchy_trees(&game, &b0, CAP, &group, &unlimited)
                 .unwrap()
                 .unwrap();
             assert_eq!(
@@ -88,8 +95,10 @@ fn orbit_pruning_is_bit_identical_and_counts_every_tree() {
             );
 
             // Best equilibrium tree: same edges, same weight bits.
-            let plain = best_equilibrium_tree(&game, &b0, CAP).unwrap().unwrap();
-            let orbit = best_equilibrium_tree_orbits(&game, &b0, CAP, &group)
+            let plain = best_equilibrium_tree(&game, &b0, CAP, &trivial, &unlimited)
+                .unwrap()
+                .unwrap();
+            let orbit = best_equilibrium_tree(&game, &b0, CAP, &group, &unlimited)
                 .unwrap()
                 .unwrap();
             assert_eq!(

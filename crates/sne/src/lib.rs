@@ -132,7 +132,14 @@ impl SneSolver for CuttingPlaneSolver {
     }
     fn solve(&self, game: &NetworkDesignGame, tree: &[EdgeId]) -> Result<SneSolution, SneError> {
         let (state, _) = ndg_core::State::from_tree(game, tree)?;
-        lp_general::enforce_state_cutting(game, &state).map(|(sol, _)| sol)
+        let ex = ndg_exec::Executor::from_env();
+        lp_general::enforce_state_cutting_budgeted(
+            game,
+            &state,
+            &ex,
+            &ndg_exec::Budget::unlimited(),
+        )
+        .map(|(sol, _)| sol)
     }
 }
 

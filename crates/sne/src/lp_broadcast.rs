@@ -172,7 +172,13 @@ mod tests {
         // would be 51^4 ≈ 6.8M — instead verify optimality by (a) validity
         // and (b) matching the cutting-plane solver (independent method).
         let (state, _) = ndg_core::State::from_tree(&game, &tree).unwrap();
-        let (cut_sol, _) = crate::lp_general::enforce_state_cutting(&game, &state).unwrap();
+        let (cut_sol, _) = crate::lp_general::enforce_state_cutting_budgeted(
+            &game,
+            &state,
+            &ndg_exec::Executor::from_env(),
+            &ndg_exec::Budget::unlimited(),
+        )
+        .unwrap();
         assert!(
             (sol.cost - cut_sol.cost).abs() < 1e-5,
             "lp3 {} vs lp1 {}",

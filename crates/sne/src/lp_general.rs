@@ -21,8 +21,7 @@ use ndg_exec::{Budget, Executor};
 use ndg_graph::paths::{PooledWorkspace, WorkspacePool};
 use ndg_graph::EdgeId;
 use ndg_lp::{
-    solve_with_batched_cuts_budgeted, BatchSeparationOracle, CutError, CutStats, LinearProgram,
-    Row, RowOp,
+    solve_with_batched_cuts, BatchSeparationOracle, CutError, CutStats, LinearProgram, Row, RowOp,
 };
 use std::collections::HashMap;
 
@@ -82,27 +81,9 @@ impl<'a> BatchSeparationOracle for ShortestPathSeparator<'a> {
 
 /// Solve the optimization version of SNE for an arbitrary game and target
 /// state by constraint generation. Returns the solution and loop stats.
-/// Separation runs on the environment-default executor (`NDG_THREADS`).
-pub fn enforce_state_cutting(
-    game: &NetworkDesignGame,
-    state: &State,
-) -> Result<(SneSolution, CutStats), SneError> {
-    enforce_state_cutting_with(game, state, &Executor::from_env())
-}
-
-/// [`enforce_state_cutting`] with an explicit executor for the batched
-/// separation rounds. The result is independent of the thread count.
-pub fn enforce_state_cutting_with(
-    game: &NetworkDesignGame,
-    state: &State,
-    ex: &Executor,
-) -> Result<(SneSolution, CutStats), SneError> {
-    enforce_state_cutting_budgeted(game, state, ex, &Budget::unlimited())
-}
-
-/// [`enforce_state_cutting_with`] under a cooperative [`Budget`]: the
-/// budget is checked at every cutting-plane round boundary and expiry
-/// surfaces as [`SneError::Cancelled`]. With an unlimited budget the
+/// Separation runs on `ex` and the result is independent of its thread
+/// count. `budget` is checked at every cutting-plane round boundary and
+/// expiry surfaces as [`SneError::Cancelled`]; with an unlimited budget the
 /// relaxation sequence (and thus the subsidy vector) is unchanged.
 pub fn enforce_state_cutting_budgeted(
     game: &NetworkDesignGame,
@@ -131,13 +112,11 @@ pub fn enforce_state_cutting_budgeted(
         pool: &pool,
         b: SubsidyAssignment::zero(g),
     };
-    let (sol, stats) =
-        solve_with_batched_cuts_budgeted(&mut lp, &mut oracle, MAX_ROUNDS, ex, budget).map_err(
-            |e| match e {
-                CutError::Cancelled => SneError::Cancelled,
-                other => SneError::Cut(other.to_string()),
-            },
-        )?;
+    let (sol, stats) = solve_with_batched_cuts(&mut lp, &mut oracle, MAX_ROUNDS, ex, budget)
+        .map_err(|e| match e {
+            CutError::Cancelled => SneError::Cancelled,
+            other => SneError::Cut(other.to_string()),
+        })?;
 
     let mut b = SubsidyAssignment::zero(g);
     for (k, &e) in var_list.iter().enumerate() {
@@ -197,6 +176,11 @@ mod tests {
     use ndg_core::Player;
     use ndg_graph::{generators, kruskal, NodeId};
 
+    fn solve(game: &NetworkDesignGame, state: &State) -> (SneSolution, CutStats) {
+        let ex = Executor::from_env();
+        enforce_state_cutting_budgeted(game, state, &ex, &Budget::unlimited()).unwrap()
+    }
+
     #[test]
     fn agrees_with_lp3_on_broadcast_instances() {
         use rand::prelude::*;
@@ -208,7 +192,7 @@ mod tests {
             let tree = kruskal(game.graph()).unwrap();
             let lp3 = crate::lp_broadcast::enforce_tree_lp(&game, &tree).unwrap();
             let (state, _) = State::from_tree(&game, &tree).unwrap();
-            let (lp1, stats) = enforce_state_cutting(&game, &state).unwrap();
+            let (lp1, stats) = solve(&game, &state);
             assert!(
                 (lp3.cost - lp1.cost).abs() < 1e-5,
                 "lp3 {} vs lp1 {} (rounds {})",
@@ -239,7 +223,7 @@ mod tests {
         .unwrap();
         let tree = kruskal(game.graph()).unwrap();
         let (state, _) = State::from_tree(&game, &tree).unwrap();
-        let (sol, _) = enforce_state_cutting(&game, &state).unwrap();
+        let (sol, _) = solve(&game, &state);
         assert!(ndg_core::is_equilibrium(&game, &state, &sol.subsidies));
         assert!(sol.cost >= 0.0);
     }
@@ -257,7 +241,9 @@ mod tests {
             let mut reference: Option<(Vec<f64>, usize, usize)> = None;
             for threads in [1usize, 4, 8] {
                 let ex = ndg_exec::Executor::new(threads);
-                let (sol, stats) = enforce_state_cutting_with(&game, &state, &ex).unwrap();
+                let (sol, stats) =
+                    enforce_state_cutting_budgeted(&game, &state, &ex, &Budget::unlimited())
+                        .unwrap();
                 let x = sol.subsidies.as_slice().to_vec();
                 match &reference {
                     None => reference = Some((x, stats.rounds, stats.cuts_added)),
@@ -277,7 +263,7 @@ mod tests {
         let game = ndg_core::NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let tree: Vec<EdgeId> = game.graph().edge_ids().collect();
         let (state, _) = State::from_tree(&game, &tree).unwrap();
-        let (sol, stats) = enforce_state_cutting(&game, &state).unwrap();
+        let (sol, stats) = solve(&game, &state);
         assert!(sol.cost < 1e-9);
         assert_eq!(stats.cuts_added, 0);
         assert_eq!(stats.rounds, 1);
@@ -289,7 +275,7 @@ mod tests {
         let g = generators::cycle_graph(3, 1.0);
         let game = ndg_core::NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
         let (state, _) = State::from_tree(&game, &[EdgeId(0), EdgeId(1)]).unwrap();
-        let (sol, _) = enforce_state_cutting(&game, &state).unwrap();
+        let (sol, _) = solve(&game, &state);
         assert!((sol.cost - 0.5).abs() < 1e-6, "got {}", sol.cost);
     }
 }

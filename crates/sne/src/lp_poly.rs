@@ -118,7 +118,13 @@ mod tests {
             let lp3 = crate::lp_broadcast::enforce_tree_lp(&game, &tree).unwrap();
             let (state, _) = State::from_tree(&game, &tree).unwrap();
             let lp2 = enforce_state_poly(&game, &state).unwrap();
-            let (lp1, _) = crate::lp_general::enforce_state_cutting(&game, &state).unwrap();
+            let (lp1, _) = crate::lp_general::enforce_state_cutting_budgeted(
+                &game,
+                &state,
+                &ndg_exec::Executor::from_env(),
+                &ndg_exec::Budget::unlimited(),
+            )
+            .unwrap();
             assert!(
                 (lp3.cost - lp2.cost).abs() < 1e-5,
                 "lp3 {} vs lp2 {}",

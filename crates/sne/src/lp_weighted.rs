@@ -18,8 +18,7 @@ use ndg_exec::{Budget, Executor};
 use ndg_graph::paths::{PooledWorkspace, WorkspacePool};
 use ndg_graph::EdgeId;
 use ndg_lp::{
-    solve_with_batched_cuts_budgeted, BatchSeparationOracle, CutError, CutStats, LinearProgram,
-    Row, RowOp,
+    solve_with_batched_cuts, BatchSeparationOracle, CutError, CutStats, LinearProgram, Row, RowOp,
 };
 use std::collections::HashMap;
 
@@ -78,29 +77,9 @@ impl<'a> BatchSeparationOracle for WeightedSeparator<'a> {
 }
 
 /// Minimum-cost subsidies enforcing `state` in the weighted extension.
-/// Separation runs on the environment-default executor (`NDG_THREADS`).
-pub fn enforce_state_weighted(
-    game: &NetworkDesignGame,
-    state: &State,
-    demands: &Demands,
-) -> Result<(SneSolution, CutStats), SneError> {
-    enforce_state_weighted_with(game, state, demands, &Executor::from_env())
-}
-
-/// [`enforce_state_weighted`] with an explicit executor for the batched
-/// separation rounds. The result is independent of the thread count.
-pub fn enforce_state_weighted_with(
-    game: &NetworkDesignGame,
-    state: &State,
-    demands: &Demands,
-    ex: &Executor,
-) -> Result<(SneSolution, CutStats), SneError> {
-    enforce_state_weighted_budgeted(game, state, demands, ex, &Budget::unlimited())
-}
-
-/// [`enforce_state_weighted_with`] under a cooperative [`Budget`], checked
-/// at cutting-plane round boundaries; expiry surfaces as
-/// [`SneError::Cancelled`].
+/// Separation runs on `ex` and the result is independent of its thread
+/// count. `budget` is checked at cutting-plane round boundaries; expiry
+/// surfaces as [`SneError::Cancelled`].
 pub fn enforce_state_weighted_budgeted(
     game: &NetworkDesignGame,
     state: &State,
@@ -128,13 +107,11 @@ pub fn enforce_state_weighted_budgeted(
         pool: &pool,
         b: SubsidyAssignment::zero(g),
     };
-    let (sol, stats) =
-        solve_with_batched_cuts_budgeted(&mut lp, &mut oracle, MAX_ROUNDS, ex, budget).map_err(
-            |e| match e {
-                CutError::Cancelled => SneError::Cancelled,
-                other => SneError::Cut(other.to_string()),
-            },
-        )?;
+    let (sol, stats) = solve_with_batched_cuts(&mut lp, &mut oracle, MAX_ROUNDS, ex, budget)
+        .map_err(|e| match e {
+            CutError::Cancelled => SneError::Cancelled,
+            other => SneError::Cut(other.to_string()),
+        })?;
     let mut b = SubsidyAssignment::zero(g);
     for (k, &e) in var_list.iter().enumerate() {
         b.set(g, e, sol.x[k]);
@@ -185,6 +162,11 @@ mod tests {
     use super::*;
     use ndg_graph::{generators, kruskal, NodeId};
 
+    fn solve(game: &NetworkDesignGame, state: &State, d: &Demands) -> (SneSolution, CutStats) {
+        let ex = Executor::from_env();
+        enforce_state_weighted_budgeted(game, state, d, &ex, &Budget::unlimited()).unwrap()
+    }
+
     #[test]
     fn uniform_demands_match_unweighted_lp() {
         use rand::prelude::*;
@@ -196,7 +178,7 @@ mod tests {
             let tree = kruskal(game.graph()).unwrap();
             let (state, _) = State::from_tree(&game, &tree).unwrap();
             let d = Demands::uniform(&game);
-            let (weighted, _) = enforce_state_weighted(&game, &state, &d).unwrap();
+            let (weighted, _) = solve(&game, &state, &d);
             let unweighted = crate::lp_broadcast::enforce_tree_lp(&game, &tree).unwrap();
             assert!(
                 (weighted.cost - unweighted.cost).abs() < 1e-5,
@@ -220,11 +202,11 @@ mod tests {
         let (state, _) = State::from_tree(&game, &[e0, e1, e3]).unwrap();
 
         let uniform = Demands::uniform(&game);
-        let (u_sol, _) = enforce_state_weighted(&game, &state, &uniform).unwrap();
+        let (u_sol, _) = solve(&game, &state, &uniform);
         assert!(u_sol.cost > 0.1, "unweighted tree needs real subsidies");
 
         let skewed = Demands::new(&game, vec![1000.0, 1.0, 1.0]).unwrap();
-        let (s_sol, stats) = enforce_state_weighted(&game, &state, &skewed).unwrap();
+        let (s_sol, stats) = solve(&game, &state, &skewed);
         assert!(s_sol.cost < 1e-9, "heavy demand stabilizes for free");
         assert_eq!(stats.cuts_added, 0);
     }
@@ -246,7 +228,7 @@ mod tests {
                     .collect(),
             )
             .unwrap();
-            let (sol, _) = enforce_state_weighted(&game, &state, &d).unwrap();
+            let (sol, _) = solve(&game, &state, &d);
             assert!(ndg_core::weighted_is_equilibrium(
                 &game,
                 &state,

@@ -7,6 +7,7 @@
 use subsidy_games::core::{
     self, multicast::multicast, weighted::Demands, NetworkDesignGame, State, SubsidyAssignment,
 };
+use subsidy_games::exec::{Budget, Executor};
 use subsidy_games::graph::{generators, harmonic, EdgeId, NodeId};
 use subsidy_games::{snd, sne};
 
@@ -42,7 +43,14 @@ fn main() {
             Demands::new(&game, vec![1000.0, 1.0, 1.0]).unwrap(),
         ),
     ] {
-        let (sol, _) = sne::lp_weighted::enforce_state_weighted(&game, &state, &demands).unwrap();
+        let (sol, _) = sne::lp_weighted::enforce_state_weighted_budgeted(
+            &game,
+            &state,
+            &demands,
+            &Executor::from_env(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         println!("  {label}: minimum enforcing subsidy {:.4}", sol.cost);
     }
 

@@ -10,6 +10,7 @@
 
 use rand::prelude::*;
 use subsidy_games::core::NetworkDesignGame;
+use subsidy_games::exec::Budget;
 use subsidy_games::graph::{generators, harmonic, NodeId};
 use subsidy_games::snd::pos;
 
@@ -22,7 +23,8 @@ fn main() {
         let n = rng.random_range(5..8usize);
         let g = generators::random_connected(n, 0.6, &mut rng, 0.2..3.0);
         let game = NetworkDesignGame::broadcast(g, NodeId(0)).expect("connected");
-        let pos_val = pos::exact_pos(&game, 2_000_000).expect("small instance");
+        let pos_val = pos::exact_pos_budgeted(&game, 2_000_000, &Budget::unlimited())
+            .expect("small instance");
         let (br, _) = pos::br_from_opt_bound(&game).expect("dynamics converge");
         let hn = harmonic(game.num_players() as u64);
         println!(

@@ -7,6 +7,8 @@
 //! * [`graph`] — graph substrate (MST, Dijkstra, rooted trees, harmonics);
 //! * [`lp`] — dense simplex + cutting-plane driver;
 //! * [`core`] — network design games, subsidies, equilibria, dynamics;
+//! * [`exec`] — the deterministic executor and the cooperative `Budget`
+//!   every engine entry point takes;
 //! * [`canon`] — instance canonicalization: isomorphism-invariant
 //!   relabeling for cache keying and scenario dedup;
 //! * [`sne`] — Stable Network Enforcement: LPs (1)–(3) and Theorem 6;
@@ -40,6 +42,7 @@
 pub use ndg_aon as aon;
 pub use ndg_canon as canon;
 pub use ndg_core as core;
+pub use ndg_exec as exec;
 pub use ndg_graph as graph;
 pub use ndg_lp as lp;
 pub use ndg_reductions as reductions;

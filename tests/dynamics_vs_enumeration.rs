@@ -3,8 +3,10 @@
 
 use rand::prelude::*;
 use subsidy_games::core::{
-    dynamics_from_tree, equilibrium_trees, MoveOrder, NetworkDesignGame, SubsidyAssignment,
+    dynamics_from_tree, equilibrium_trees, EdgeGroup, MoveOrder, NetworkDesignGame,
+    SubsidyAssignment,
 };
+use subsidy_games::exec::Budget;
 use subsidy_games::graph::{generators, kruskal, mst_weight, NodeId};
 use subsidy_games::snd;
 
@@ -37,9 +39,16 @@ fn snd_budget_zero_matches_enumeration_and_heuristic() {
         // Exhaustive SND at budget 0 = best unsubsidized equilibrium tree.
         let exact = snd::exhaustive::min_weight_within_budget(&game, 0.0, 1_000_000).unwrap();
         let b0 = SubsidyAssignment::zero(game.graph());
-        let best = subsidy_games::core::best_equilibrium_tree(&game, &b0, 1_000_000)
-            .unwrap()
-            .unwrap();
+        let trivial = EdgeGroup::trivial(game.graph().edge_count());
+        let best = subsidy_games::core::best_equilibrium_tree(
+            &game,
+            &b0,
+            1_000_000,
+            &trivial,
+            &Budget::unlimited(),
+        )
+        .unwrap()
+        .unwrap();
         assert!((exact.weight - best.weight).abs() < 1e-6);
         // Heuristic never undercuts the exhaustive optimum.
         let heur = snd::heuristic::design_with_budget(&game, 0.0).unwrap();
@@ -56,7 +65,7 @@ fn pos_pipeline_bounds() {
     let mut rng = StdRng::seed_from_u64(79);
     let g = generators::random_connected(6, 0.5, &mut rng, 0.3..3.0);
     let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
-    let pos = snd::pos::exact_pos(&game, 1_000_000).unwrap();
+    let pos = snd::pos::exact_pos_budgeted(&game, 1_000_000, &Budget::unlimited()).unwrap();
     let (br, hn) = snd::pos::br_from_opt_bound(&game).unwrap();
     assert!((1.0..=br + 1e-9).contains(&pos));
     assert!(br <= hn + 1e-9);

@@ -224,7 +224,10 @@ proptest! {
         ] {
             let (s1, _) = State::from_tree(&game, &tree).unwrap();
             let (s2, _) = State::from_tree(&game, &tree).unwrap();
-            let fast = core::best_response_dynamics(&game, s1, &b, order, 100_000);
+            let unlimited = subsidy_games::exec::Budget::unlimited();
+            let fast =
+                core::best_response_dynamics_budgeted(&game, s1, &b, order, 100_000, &unlimited)
+                    .unwrap();
             let naive = core::best_response_dynamics_naive(&game, s2, &b, order, 100_000);
             prop_assert!(fast.converged && naive.converged);
             prop_assert_eq!(fast.moves, naive.moves, "move count diverged under {:?}", order);
