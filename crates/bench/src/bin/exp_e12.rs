@@ -14,7 +14,7 @@
 //!    byte-identical to the reference (the E11-style determinism gate).
 //!
 //! A fourth pass drives the same workload shape through the
-//! [`ndg_serve::chaos`] fault-injection harness over live TCP
+//! [`ndg_bench::chaos`] fault-injection harness over live TCP
 //! (`--fault-rate F`, default 0.15; `--fault-rate 0` degrades it to a
 //! clean TCP load test) and pins the survival counters as the
 //! `e12_chaos` row.
@@ -47,9 +47,10 @@
 //! 1-core container shows no batching speedup — the determinism
 //! assertions are the portable part; re-measure on multicore hardware.
 
+use ndg_bench::chaos::{run_chaos, ChaosSpec};
 use ndg_bench::{header, row};
 use ndg_exec::Executor;
-use ndg_serve::{build_workload, payload_of, run_chaos, ChaosSpec, Router, WorkloadSpec};
+use ndg_serve::{build_workload, payload_of, Router, WorkloadSpec};
 use std::io::Write as _;
 use std::time::Instant;
 

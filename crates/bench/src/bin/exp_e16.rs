@@ -29,7 +29,7 @@ use ndg_serve::{payload_of, Router, SessionConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::io::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct FamilyResult {
     id: &'static str,
@@ -67,23 +67,26 @@ fn run_family(
         .expect("open carries a session id")
         .to_string();
 
-    // Warm pass: timed session deltas, capturing the synthesized cold
-    // request after each commit.
+    // Warm pass: session deltas, capturing the synthesized cold request
+    // after each commit. Only each delta's `handle_line` is timed: the
+    // cold line is formatted outside the clock.
     let mut warm_payloads = Vec::with_capacity(deltas);
     let mut cold_lines = Vec::with_capacity(deltas);
-    let t0 = Instant::now();
+    let mut warm = Duration::ZERO;
     for k in 0..deltas {
         let line = format!(
             "ndg1;id=d{k};method=delta;session={sid};epoch={k};delta=patch;edge={};w={}",
             rng.random_range(0..edges),
             rng.random_range(1..=8u32) as f64 / 4.0
         );
+        let t0 = Instant::now();
         let resp = router.handle_line(&line);
+        warm += t0.elapsed();
         assert!(resp.starts_with("ok;"), "{id}: delta {k} failed: {resp}");
         warm_payloads.push(payload_of(&resp));
         cold_lines.push(router.session_cold_line(&sid).expect("session stays open"));
     }
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let warm_ms = warm.as_secs_f64() * 1e3;
 
     // Cold pass: the specification — every patched instance solved from
     // scratch, sequential, cache off.
@@ -215,11 +218,11 @@ fn main() {
         s.push_str("\"e16_sessions\": {\n");
         s.push_str(
             "    \"note\": \"Delta sessions: seeded patch sequences through method=delta \
-             (warm: engine starts from the previous converged state) vs cold re-solves of \
-             the synthesized per-epoch instances (the audit path and the byte-identity \
-             specification, asserted on every delta). resync_ms is one full journal replay \
-             from the pinned base. Sequential executor, 1-core container; the warm/cold \
-             work ratio is the portable part.\",\n",
+             (warm: engine starts from the previous converged state; only each delta's \
+             handle_line call is timed) vs cold re-solves of the synthesized per-epoch \
+             instances (the audit path and the byte-identity specification, asserted on \
+             every delta). resync_ms is one full journal replay from the pinned base. \
+             Sequential executor; the warm/cold work ratio is the portable part.\",\n",
         );
         s.push_str("    \"families\": [\n");
         for (i, r) in results.iter().enumerate() {

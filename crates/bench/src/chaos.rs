@@ -1,5 +1,5 @@
-//! Deterministic seeded fault-injection harness (`ndg-serve --chaos`,
-//! `--self-test-chaos`).
+//! Deterministic seeded fault-injection harness for `ndg-serve` (the
+//! `chaos::tests` survival gates and `exp_e12`'s chaos pass).
 //!
 //! The harness drives the E12 mixed workload against a live TCP server
 //! while injecting faults drawn from one seeded [`StdRng`] plan:
@@ -70,11 +70,11 @@
 // and a violated invariant must kill the run, not limp to a green exit.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::codec::{payload_of, Request};
-use crate::router::Router;
-use crate::server::{spawn_tcp_with, TcpOptions};
-use crate::workload::{build_workload, WorkloadSpec};
 use ndg_exec::Executor;
+use ndg_serve::codec::{payload_of, Request};
+use ndg_serve::router::Router;
+use ndg_serve::server::{spawn_tcp_with, TcpOptions};
+use ndg_serve::workload::{build_workload, WorkloadSpec};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -289,7 +289,7 @@ fn read_responses(
 }
 
 /// Run the chaos harness for `spec`. The returned report's
-/// [`ChaosReport::ok`] is the gate `--self-test-chaos` exits on.
+/// [`ChaosReport::ok`] is the survival gate.
 pub fn run_chaos(spec: ChaosSpec) -> io::Result<ChaosReport> {
     let _quiet = quiet_expected_panics();
     let mut report = ChaosReport {
@@ -316,7 +316,7 @@ pub fn run_chaos(spec: ChaosSpec) -> io::Result<ChaosReport> {
         .iter()
         .map(|l| Request::parse(l).expect("workload parses"))
         .collect();
-    let canon_body = |req: &Request| match crate::canon::canonicalize_request(req) {
+    let canon_body = |req: &Request| match ndg_serve::canon::canonicalize_request(req) {
         Some(c) => c.req.canonical_body(),
         None => req.canonical_body(),
     };
@@ -843,7 +843,7 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
         .map(Executor::new)
         .unwrap_or_else(Executor::from_env);
     let mut router = Router::with_canon(ex, 4096, true);
-    router.set_session_config(crate::session::SessionConfig {
+    router.set_session_config(ndg_serve::session::SessionConfig {
         audit_every: AUDIT_EVERY,
         max_sessions: 8,
     });
@@ -1162,8 +1162,12 @@ fn retry_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
         .map(Executor::new)
         .unwrap_or_else(Executor::from_env);
     let mut router = Router::with_canon(ex, 0, false);
-    router.set_fault_hook(Some(Arc::new(|req: &Request| {
+    // The hook runs inside dispatch, so the flood's gate permit is held
+    // when it signals: the client sends the delta only after that.
+    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+    router.set_fault_hook(Some(Arc::new(move |req: &Request| {
         if req.id.starts_with("slow") {
+            let _ = held_tx.send(());
             std::thread::sleep(HOLD);
         }
     })));
@@ -1202,7 +1206,11 @@ fn retry_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
     )?;
     flood.write_all(b"\n")?;
     flood.flush()?;
-    std::thread::sleep(Duration::from_millis(30)); // flood is admitted first
+    if held_rx.recv_timeout(Duration::from_secs(10)).is_err() {
+        report.fail("retry phase: the flood request never reached dispatch".into());
+        handle.stop();
+        return Ok(());
+    }
     let delta_line =
         format!("ndg1;id=rd;method=delta;session={sid};epoch=0;delta=patch;edge=5;w=0.5");
     let send_with_backoff = |conn: &mut TcpStream,
@@ -1320,5 +1328,36 @@ mod tests {
         assert!(r.session_deltas > 0);
         assert_eq!(r.session_resyncs, 2, "only the two post-disconnect resyncs");
         assert_eq!(r.retries, 0);
+    }
+
+    /// The full-size survival gate for `seed` on the environment executor
+    /// (`NDG_THREADS` picks the width), printing the counter line.
+    fn survival_gate(seed: u64) {
+        let r = run_chaos(ChaosSpec::new(seed)).expect("chaos run performs I/O only on loopback");
+        println!(
+            "chaos: seed={seed} corrupt={} torn={} panics={} delays={} disconnects={} shed={} \
+             session_deltas={} session_resyncs={} session_audits={} retries={}",
+            r.corrupt,
+            r.torn,
+            r.panics,
+            r.delays,
+            r.disconnects,
+            r.shed,
+            r.session_deltas,
+            r.session_resyncs,
+            r.session_audits,
+            r.retries
+        );
+        assert!(r.ok(), "seed {seed} failures: {:#?}", r.failures);
+    }
+
+    #[test]
+    fn seed_1_survives_the_full_fault_plan() {
+        survival_gate(1);
+    }
+
+    #[test]
+    fn seed_2_survives_the_full_fault_plan() {
+        survival_gate(2);
     }
 }

@@ -3,6 +3,13 @@
 //! One Criterion bench and one deterministic experiment binary exist per
 //! paper artifact (see DESIGN.md §3); both pull their instances from here
 //! so timings and printed tables describe the same workloads.
+//!
+//! [`chaos`] is the seeded fault-injection harness for `ndg-serve`: its
+//! unit tests are the survival gates, and `exp_e12` runs it as its
+//! chaos pass. It lives here, not in `ndg-serve`, so the serving binary
+//! carries no test harness.
+
+pub mod chaos;
 
 use ndg_core::NetworkDesignGame;
 use ndg_graph::{generators, kruskal, EdgeId, NodeId};

@@ -3,9 +3,6 @@
 //! ```text
 //! ndg-serve --stdio                     # serve request lines on stdin
 //! ndg-serve --tcp 127.0.0.1:4321       # serve TCP (port 0 = ephemeral)
-//! ndg-serve --self-test [N [D]]        # end-to-end smoke (CI gate)
-//! ndg-serve --chaos seed=7,fault-rate=0.2   # fault-injection run
-//! ndg-serve --self-test-chaos [seed=N]      # chaos survival gate (CI)
 //! ```
 //!
 //! Common flags: `--threads T` (executor width; `NDG_THREADS` also works),
@@ -31,50 +28,31 @@
 //! the surrounding events to stderr), `--log jsonl[:PATH]` (structured
 //! wide-event log, one JSON object per line, to stderr or `PATH`;
 //! implies `--events 1`), `--log-sample N` (log every Nth wide event —
-//! errors and slow requests always logged), `--log-slow-ms MS` (retain
-//! the slowest requests with per-stage timings, reported by `stats`),
-//! and — self-test only — `--trace 0|1` (send the workload with
-//! `trace=1` and assert the echoed stage timings never perturb a
-//! payload byte).
+//! errors and slow requests always logged), and `--log-slow-ms MS`
+//! (retain the slowest requests with per-stage timings, reported by
+//! `stats`).
 //!
-//! The self-test is the serving contract in executable form: it spawns a
-//! TCP server on an ephemeral port, fires a deterministic mixed workload
-//! (default 200 requests over 60 distinct bodies) from four concurrent
-//! connections in batches, and diffs every response payload byte-for-byte
-//! against direct sequential evaluation of the same requests — then
-//! re-prices a sample of them straight through the solver library to
-//! anchor the codec itself. It exits non-zero on any divergence, and
-//! asserts that repeated bodies actually hit the cache.
-//!
-//! `--self-test-chaos` is the same contract under seeded fault injection
-//! (torn writes, mid-batch disconnects, corrupted lines, injected engine
-//! panics and delays): the server must survive every fault, answer each
-//! faulted request with its class's error code, and keep every clean
-//! response byte-identical to the sequential reference.
+//! The serving contract (concurrent TCP answers byte-identical to a
+//! sequential cache-off router) is checked by
+//! `crates/serve/tests/serve_contract.rs`; the seeded fault-injection
+//! harness lives in `ndg_bench::chaos`.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use ndg_exec::Executor;
-use ndg_serve::codec::{fmt_f64, Method, Request, Solver};
-use ndg_serve::{
-    build_workload, payload_of, run_chaos, spawn_tcp_with, ChaosSpec, Router, TcpOptions,
-    WorkloadSpec,
-};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use ndg_serve::{spawn_tcp_with, Router, TcpOptions};
+use std::io::Write;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ndg-serve (--stdio | --tcp ADDR | --self-test [REQUESTS [DISTINCT]] | \
-         --chaos SPEC | --self-test-chaos [SPEC]) \
+        "usage: ndg-serve (--stdio | --tcp ADDR) \
          [--threads T] [--cache C] [--canon 0|1] [--default-deadline-ms MS] \
          [--max-inflight N] [--idle-timeout-ms MS] \
          [--audit-every N] [--max-sessions M] \
          [--metrics 0|1] [--events 0|1] [--log jsonl[:PATH]] [--log-sample N] \
-         [--log-slow-ms MS] [--trace 0|1]\n\
-         SPEC: seed=N[,requests=R][,distinct=D][,fault-rate=F]"
+         [--log-slow-ms MS]"
     );
     std::process::exit(2);
 }
@@ -90,8 +68,6 @@ fn run() -> i32 {
     let mut threads: Option<usize> = None;
     let mut cache = ndg_serve::router::DEFAULT_CACHE_CAPACITY;
     let mut canon = true;
-    let mut self_test_shape = (200usize, 60usize);
-    let mut chaos_spec = ChaosSpec::new(1);
     let mut default_deadline_ms: Option<u64> = None;
     let mut max_inflight: Option<usize> = None;
     let mut idle_timeout_ms: Option<u64> = None;
@@ -100,7 +76,6 @@ fn run() -> i32 {
     let mut log_spec: Option<String> = None;
     let mut log_sample: u64 = 1;
     let mut log_slow_ms: Option<u64> = None;
-    let mut trace = false;
     let mut session_cfg = ndg_serve::SessionConfig::default();
 
     let mut it = args.iter().peekable();
@@ -116,54 +91,6 @@ fn run() -> i32 {
                             None => usage(),
                         };
                     }
-                }
-            }
-            "--self-test" => {
-                mode = Some("self-test".into());
-                let mut shape = Vec::new();
-                while shape.len() < 2 {
-                    match it.peek() {
-                        Some(v) if !v.starts_with("--") => match it.next() {
-                            Some(v) => match v.parse::<usize>() {
-                                Ok(n) => shape.push(n),
-                                Err(_) => usage(),
-                            },
-                            None => usage(),
-                        },
-                        _ => break,
-                    }
-                }
-                if let Some(&r) = shape.first() {
-                    self_test_shape.0 = r.max(1);
-                }
-                if let Some(&d) = shape.get(1) {
-                    self_test_shape.1 = d;
-                }
-                // Default (or explicit) distinct must fit the request
-                // count; clamp instead of tripping the workload assert.
-                self_test_shape.1 = self_test_shape.1.clamp(1, self_test_shape.0);
-            }
-            "--chaos" | "--self-test-chaos" => {
-                mode = Some(if arg == "--chaos" {
-                    "chaos".into()
-                } else {
-                    "self-test-chaos".into()
-                });
-                // SPEC is optional for --self-test-chaos (defaults to
-                // seed=1); --chaos requires one.
-                let spec_arg = match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().map(String::as_str),
-                    _ if arg == "--chaos" => usage(),
-                    _ => None,
-                };
-                if let Some(s) = spec_arg {
-                    chaos_spec = match parse_chaos_spec(s) {
-                        Ok(spec) => spec,
-                        Err(e) => {
-                            eprintln!("ndg-serve: bad chaos spec `{s}`: {e}");
-                            usage();
-                        }
-                    };
                 }
             }
             "--threads" => {
@@ -247,13 +174,6 @@ fn run() -> i32 {
                     None => usage(),
                 }
             }
-            "--trace" => {
-                trace = match it.next().map(String::as_str) {
-                    Some("0") => false,
-                    Some("1") => true,
-                    _ => usage(),
-                }
-            }
             _ => usage(),
         }
     }
@@ -322,75 +242,6 @@ fn run() -> i32 {
                 std::thread::park();
             }
         }
-        Some("self-test") => {
-            let (requests, distinct) = self_test_shape;
-            let obs = SelfTestObs {
-                events: events || log_spec.is_some(),
-                log_sample,
-            };
-            match self_test(ex, requests, distinct, canon, trace, log_slow_ms, obs) {
-                Ok(true) => 0,
-                Ok(false) => 1,
-                Err(e) => {
-                    eprintln!("ndg-serve: self-test aborted: {e}");
-                    1
-                }
-            }
-        }
-        Some(chaos_mode @ ("chaos" | "self-test-chaos")) => {
-            if chaos_spec.threads.is_none() {
-                chaos_spec.threads = threads;
-            }
-            println!(
-                "chaos: seed={} requests={} distinct={} fault-rate={} threads={}",
-                chaos_spec.seed,
-                chaos_spec.requests,
-                chaos_spec.distinct,
-                chaos_spec.fault_rate,
-                chaos_spec
-                    .threads
-                    .map_or_else(|| "env".to_string(), |t| t.to_string()),
-            );
-            let report = match run_chaos(chaos_spec) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("ndg-serve: chaos run aborted: {e}");
-                    return 1;
-                }
-            };
-            println!(
-                "chaos: corrupt={} torn={} panics={} delays={} disconnects={} shed={} \
-                 session_deltas={} session_resyncs={} session_audits={} retries={}",
-                report.corrupt,
-                report.torn,
-                report.panics,
-                report.delays,
-                report.disconnects,
-                report.shed,
-                report.session_deltas,
-                report.session_resyncs,
-                report.session_audits,
-                report.retries
-            );
-            for f in &report.failures {
-                eprintln!("chaos FAIL: {f}");
-            }
-            if report.ok() {
-                println!(
-                    "OK: {} requests survived fault injection; surviving payloads \
-                     byte-identical to the sequential reference",
-                    report.requests
-                );
-                0
-            } else {
-                eprintln!(
-                    "FAIL ({}): {} contract violations",
-                    chaos_mode,
-                    report.failures.len()
-                );
-                1
-            }
-        }
         _ => usage(),
     }
 }
@@ -408,373 +259,4 @@ fn make_log_sink(spec: &str) -> std::io::Result<Box<dyn Write + Send>> {
             Ok(Box::new(f))
         }
     }
-}
-
-/// Parse a `--chaos` spec: `seed=N[,requests=R][,distinct=D][,fault-rate=F]`.
-fn parse_chaos_spec(s: &str) -> Result<ChaosSpec, String> {
-    let mut spec = ChaosSpec::new(1);
-    for field in s.split(',').filter(|f| !f.is_empty()) {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("field `{field}` is not key=value"))?;
-        match key {
-            "seed" => spec.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?,
-            "requests" => {
-                spec.requests = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad requests `{value}`"))?
-                    .max(1)
-            }
-            "distinct" => {
-                spec.distinct = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad distinct `{value}`"))?
-                    .max(1)
-            }
-            "fault-rate" | "fault_rate" => {
-                let rate: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad fault-rate `{value}`"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("fault-rate {rate} outside [0, 1]"));
-                }
-                spec.fault_rate = rate;
-            }
-            "threads" => {
-                spec.threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad threads `{value}`"))?,
-                )
-            }
-            _ => return Err(format!("unknown field `{key}`")),
-        }
-    }
-    Ok(spec)
-}
-
-/// The id a workload line was issued under (every generated line has one).
-fn id_of(line: &str) -> Result<String, String> {
-    Request::parse(line)
-        .map(|r| r.id)
-        .map_err(|e| format!("workload line failed to parse: {e:?}"))
-}
-
-/// Self-test observability shape: whether the server router runs with a
-/// flight recorder (and jsonl sink) installed, and at what sampling.
-#[derive(Clone, Copy)]
-struct SelfTestObs {
-    events: bool,
-    log_sample: u64,
-}
-
-/// The serving contract, executable. `Ok(success)`; `Err` only on setup
-/// failures (bind, connect, client I/O) that prevent the diff entirely.
-#[allow(clippy::too_many_arguments)]
-fn self_test(
-    ex: Executor,
-    requests: usize,
-    distinct: usize,
-    canon: bool,
-    trace: bool,
-    log_slow_ms: Option<u64>,
-    obs: SelfTestObs,
-) -> Result<bool, String> {
-    // When there is room, half the distinct bodies are relabeled
-    // duplicates of the other half, so the byte-identity contract is
-    // exercised against the canonicalize→solve→map-back pipeline (and,
-    // with --canon 0, against literal handling of relabeled inputs).
-    let isomorphs = if requests >= 2 * distinct { 2 } else { 1 };
-    let spec = WorkloadSpec {
-        requests,
-        distinct: (distinct / isomorphs).max(1),
-        seed: 0xE12,
-        isomorphs,
-    };
-    let lines = build_workload(spec);
-    println!(
-        "self-test: {requests} requests over {} base bodies x{} relabeled variants, \
-         threads={}, canon={}, trace={}, metrics={}, events={}",
-        spec.distinct,
-        spec.isomorphs,
-        ex.threads(),
-        u8::from(canon),
-        u8::from(trace),
-        u8::from(ndg_obs::installed()),
-        u8::from(obs.events)
-    );
-    // The traced stream is the same workload with the volatile `trace=1`
-    // flag set; the reference always runs untraced, so the diff below
-    // asserts tracing never perturbs a payload byte.
-    let server_lines = if trace {
-        ndg_serve::with_trace(&lines)
-    } else {
-        lines.clone()
-    };
-
-    // 1. Reference: direct sequential evaluation, cache disabled so every
-    //    payload really is a fresh solver call.
-    let t0 = Instant::now();
-    let reference = Router::with_canon(Executor::sequential(), 0, canon);
-    let expected: Vec<(String, String)> = lines
-        .iter()
-        .map(|l| Ok((id_of(l)?, payload_of(&reference.handle_line(l)))))
-        .collect::<Result<_, String>>()?;
-    let t_seq = t0.elapsed();
-
-    // 2. Serve the same lines over TCP: 4 concurrent connections, batches
-    //    of 16, responses collected by id.
-    let mut server = Router::with_canon(ex, 4096, canon);
-    server.set_log_slow_ms(log_slow_ms);
-    if obs.events {
-        // Recorder + jsonl sink on the serving side only: the diff below
-        // then asserts wide-event recording never perturbs a payload
-        // byte. The sink discards (the self-test output is the report).
-        let rec = Arc::new(ndg_obs::events::Recorder::with_wall_clock());
-        rec.set_sample_every(obs.log_sample);
-        rec.set_sink(Box::new(std::io::sink()));
-        server.set_recorder(Some(rec));
-    }
-    let server_router = Arc::new(server);
-    let handle = spawn_tcp_with(server_router.clone(), "127.0.0.1:0", TcpOptions::default())
-        .map_err(|e| format!("ephemeral bind: {e}"))?;
-    let addr = handle.addr();
-    let t0 = Instant::now();
-    let collected: Vec<Result<Vec<(String, String)>, String>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..4usize)
-            .map(|w| {
-                let lines = &server_lines;
-                s.spawn(move || -> Result<Vec<(String, String)>, String> {
-                    let mine: Vec<&String> = lines.iter().skip(w).step_by(4).collect();
-                    let mut conn = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                    let mut reader =
-                        BufReader::new(conn.try_clone().map_err(|e| format!("clone stream: {e}"))?);
-                    let mut out = Vec::with_capacity(mine.len());
-                    for batch in mine.chunks(16) {
-                        let mut buf = String::new();
-                        for l in batch {
-                            buf.push_str(l);
-                            buf.push('\n');
-                        }
-                        buf.push('\n'); // blank line: flush the batch
-                        conn.write_all(buf.as_bytes())
-                            .map_err(|e| format!("send: {e}"))?;
-                        for _ in batch {
-                            let mut resp = String::new();
-                            reader
-                                .read_line(&mut resp)
-                                .map_err(|e| format!("recv: {e}"))?;
-                            let resp = resp.trim_end().to_string();
-                            if trace && !resp.contains(";trace=") {
-                                return Err(format!(
-                                    "traced request answered without a trace echo: {resp}"
-                                ));
-                            }
-                            let id = resp
-                                .split(';')
-                                .find_map(|f| f.strip_prefix("id="))
-                                .unwrap_or("?")
-                                .to_string();
-                            out.push((id, payload_of(&resp)));
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("client thread panicked".to_string()))
-            })
-            .collect()
-    });
-    let mut got: Vec<(String, String)> = Vec::with_capacity(lines.len());
-    for worker in collected {
-        got.extend(worker?);
-    }
-    let t_conc = t0.elapsed();
-    let stats = server_router.cache_stats();
-    // The introspection endpoints must answer regardless of whether the
-    // recorder is installed; with it, the ring must have seen the load.
-    let health = server_router.handle_line("ndg1;id=st-h;method=health");
-    let events_resp = server_router.handle_line("ndg1;id=st-e;method=events");
-    let mut obs_ok = true;
-    if !health.contains(";status=") || !events_resp.contains(";recorder=") {
-        eprintln!("FAIL: introspection endpoints unparseable:\n  {health}\n  {events_resp}");
-        obs_ok = false;
-    }
-    if obs.events && events_resp.contains(";events=0") {
-        eprintln!("FAIL: recorder installed but no wide events retained: {events_resp}");
-        obs_ok = false;
-    }
-    handle.stop();
-
-    // 3. Diff: same id → same payload, all ids answered.
-    got.sort();
-    let mut want = expected.clone();
-    want.sort();
-    let mut mismatches = 0usize;
-    for ((gid, gp), (wid, wp)) in got.iter().zip(&want) {
-        if gid != wid || gp != wp {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!("MISMATCH {wid}/{gid}:\n  want {wp}\n  got  {gp}");
-            }
-        }
-    }
-    if got.len() != want.len() {
-        eprintln!(
-            "response count {} != request count {}",
-            got.len(),
-            want.len()
-        );
-        mismatches += 1;
-    }
-
-    // 4. Anchor the codec against the solver library itself on a sample.
-    let direct_checked = direct_library_check(&lines, &expected, canon);
-
-    let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-    println!(
-        "self-test: concurrent wall {:.1} ms (sequential reference {:.1} ms)",
-        t_conc.as_secs_f64() * 1e3,
-        t_seq.as_secs_f64() * 1e3
-    );
-    println!(
-        "self-test: cache hits={} (literal {} / isomorphism {} / err {} / iso-err {}) misses={} \
-         evictions={} (hit rate {:.1}%)",
-        stats.hits,
-        stats.ok_hits,
-        stats.canon_hits,
-        stats.err_hits,
-        stats.canon_err_hits,
-        stats.misses,
-        stats.evictions,
-        hit_rate * 100.0
-    );
-    // With requests == distinct there are no repeated bodies, so there is
-    // nothing to hit — the gate applies only when duplicates exist.
-    let hits_ok = stats.hits > 0 || requests == distinct;
-    if !hits_ok {
-        eprintln!("FAIL: repeated bodies produced no cache hits");
-    }
-    if mismatches == 0 && hits_ok && direct_checked && obs_ok {
-        println!(
-            "OK: {} concurrent responses byte-identical to sequential solver calls",
-            got.len()
-        );
-        Ok(true)
-    } else {
-        eprintln!("FAIL: {mismatches} payload mismatches");
-        Ok(false)
-    }
-}
-
-/// Re-derive a sample of expected payloads straight from the solver
-/// library (no router in the loop) and compare with the reference. In
-/// canon mode the library is driven through the same
-/// canonicalize→solve→map-back pipeline the router specifies, anchoring
-/// the relabeling machinery itself — bit for bit — against direct calls.
-fn direct_library_check(lines: &[String], expected: &[(String, String)], canon: bool) -> bool {
-    let by_id: std::collections::HashMap<&str, &str> = expected
-        .iter()
-        .map(|(id, p)| (id.as_str(), p.as_str()))
-        .collect();
-    let mut checked = 0usize;
-    let mut ok = true;
-    for line in lines {
-        if checked >= 8 {
-            break;
-        }
-        let Ok(req) = Request::parse(line) else {
-            eprintln!("DIRECT-CHECK: workload line failed to parse: {line}");
-            ok = false;
-            continue;
-        };
-        // Solve in canonical space when that is what the router does,
-        // mapping the payload back below.
-        let (solve_req, map) = if canon {
-            match ndg_serve::canonicalize_request(&req) {
-                Some(c) => (c.req, Some(c.map)),
-                None => (req.clone(), None),
-            }
-        } else {
-            (req.clone(), None)
-        };
-        let Some(game_spec) = solve_req.game.as_ref() else {
-            continue;
-        };
-        let Ok((game, demands)) = game_spec.build() else {
-            eprintln!("DIRECT-CHECK: workload game failed to build for {}", req.id);
-            ok = false;
-            continue;
-        };
-        if demands.is_some() {
-            continue;
-        }
-        let payload = match (solve_req.method, solve_req.solver) {
-            (Method::Enforce, Some(Solver::T6)) => {
-                let Some(tree) = solve_req.tree.as_ref() else {
-                    continue;
-                };
-                match ndg_sne::theorem6::enforce(&game, tree) {
-                    Ok(sol) => {
-                        let b: Vec<String> = sol
-                            .subsidies
-                            .as_slice()
-                            .iter()
-                            .map(|&x| fmt_f64(x))
-                            .collect();
-                        format!("ok;cost={};b={}", fmt_f64(sol.cost), b.join(","))
-                    }
-                    Err(e) => {
-                        eprintln!("DIRECT-CHECK: t6 enforce failed for {}: {e:?}", req.id);
-                        ok = false;
-                        continue;
-                    }
-                }
-            }
-            (Method::Certify, _) if solve_req.subsidy.is_none() => {
-                let (Some(root), Some(tree)) = (game.root(), solve_req.tree.as_ref()) else {
-                    continue;
-                };
-                let Ok(rt) = ndg_graph::RootedTree::new(game.graph(), tree, root) else {
-                    eprintln!("DIRECT-CHECK: workload tree does not span for {}", req.id);
-                    ok = false;
-                    continue;
-                };
-                let b = ndg_core::SubsidyAssignment::zero(game.graph());
-                if ndg_core::is_tree_equilibrium(&game, &rt, &b) {
-                    "ok;eq=true".to_string()
-                } else {
-                    // The full witness line needs the router's pricing;
-                    // only the verdict prefix is anchored here.
-                    String::new()
-                }
-            }
-            _ => continue,
-        };
-        let payload = match (&map, payload.is_empty()) {
-            (Some(m), false) => ndg_serve::unapply_payload(req.method, m, &payload),
-            _ => payload,
-        };
-        let want = by_id.get(req.id.as_str()).copied().unwrap_or("");
-        let matches = if payload.is_empty() {
-            want.starts_with("ok;eq=false")
-        } else {
-            want == payload
-        };
-        if !matches {
-            eprintln!(
-                "DIRECT-CHECK mismatch for {}:\n  lib  {payload}\n  ref  {want}",
-                req.id
-            );
-            ok = false;
-        }
-        checked += 1;
-    }
-    println!("self-test: {checked} payloads re-derived directly from the solver library");
-    ok
 }

@@ -28,10 +28,11 @@
 //!   replay-based recovery, sampled divergence audits, and bounded LRU
 //!   admission;
 //! * [`workload`] — the deterministic mixed-request generator behind
-//!   `ndg-serve --self-test` and the E12 load experiment;
-//! * [`chaos`] — a deterministic seeded fault-injection harness (torn
-//!   writes, disconnects, corruption, injected panics and delays) behind
-//!   `ndg-serve --chaos` / `--self-test-chaos`.
+//!   the TCP contract test, the E12 load experiment and perfbench.
+//!
+//! The seeded fault-injection harness that drives this stack over TCP
+//! lives in `ndg-bench` (`ndg_bench::chaos`), so no test harness ships
+//! in this crate or its binary.
 //!
 //! # Robustness
 //!
@@ -53,7 +54,8 @@
 //! what a fresh sequential `Router` would produce for the same canonical
 //! request body — across thread counts, batch boundaries, connection
 //! interleavings and cache states. That is the property that makes result
-//! caching sound, and E12 plus `--self-test` assert it end to end.
+//! caching sound, and E12 plus the `serve_contract` TCP test assert it
+//! end to end.
 //!
 //! # Observability
 //!
@@ -64,8 +66,8 @@
 //! `name=value` fields; `trace=1` on any request echoes per-stage µs
 //! (`parse/canon/cache/delta/solve/unmap/write`) in the response *header* —
 //! volatile, stripped by [`codec::payload_of`], never part of the cache
-//! key — and `--log-slow-ms` retains the top-[`router::SLOW_RING_CAP`]
-//! slowest requests for `stats`. None of it perturbs response payloads.
+//! key — and `--log-slow-ms` retains the top-8 slowest requests for
+//! `stats`. None of it perturbs response payloads.
 
 // A serving layer must not die on a recoverable condition: production
 // (non-test) code paths justify every panic site or handle the error.
@@ -73,7 +75,6 @@
 
 pub mod cache;
 pub mod canon;
-pub mod chaos;
 pub mod codec;
 pub mod router;
 pub mod server;
@@ -82,12 +83,11 @@ pub mod workload;
 
 pub use cache::{Cache, CacheStats};
 pub use canon::{canonicalize_request, unapply_payload, CanonRequest};
-pub use chaos::{run_chaos, ChaosReport, ChaosSpec};
 pub use codec::{payload_of, DeltaOp, Method, Request, Solver, WireError, WireGame, WireOrder};
-pub use router::{FaultHook, Router, SlowRequest, SLOW_RING_CAP};
+pub use router::{FaultHook, Router};
 pub use server::{
     serve_stdio, serve_stdio_with, serve_stream, serve_stream_with, spawn_tcp, spawn_tcp_with,
     ConnEnd, ConnSnapshot, ConnStats, Gate, ServeOptions, ServerHandle, TcpOptions,
 };
 pub use session::{SessionConfig, SessionCountersSnapshot, SessionTable};
-pub use workload::{build_workload, with_trace, WorkloadSpec};
+pub use workload::{build_workload, WorkloadSpec};

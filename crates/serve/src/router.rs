@@ -11,8 +11,8 @@
 //! take an explicit executor (`enforce` LPs (1)/(3) and the weighted LP,
 //! `certify`'s Lemma 2 sweep) receive the router's; the remaining engines
 //! are bit-identical across thread counts by the PR 2 executor contract.
-//! E12 and the `--self-test` smoke assert the end-to-end property: byte
-//! equality against sequential single-request evaluation at
+//! E12 and the `serve_contract` tests assert the end-to-end property:
+//! byte equality against sequential single-request evaluation at
 //! `NDG_THREADS ∈ {1, 4, 8}`.
 
 use crate::cache::{Cache, CacheStats};
@@ -118,21 +118,21 @@ fn response_field(line: &str, key: &str) -> Option<String> {
 
 /// Slow-request ring capacity: the top-k completed requests by wall
 /// time retained for `method=stats`.
-pub const SLOW_RING_CAP: usize = 8;
+const SLOW_RING_CAP: usize = 8;
 
 /// One retained slow request (`--log-slow-ms`): what ran, under which
 /// cache key, and where its wall time went.
 #[derive(Clone, Copy, Debug)]
-pub struct SlowRequest {
+struct SlowRequest {
     /// Wire method name.
-    pub method: &'static str,
+    method: &'static str,
     /// FNV-1a hash of the canonical body the request keyed under
     /// (0 for the keyless introspection methods).
-    pub key_hash: u64,
+    key_hash: u64,
     /// End-to-end wall time, µs.
-    pub total_us: u64,
+    total_us: u64,
     /// Per-stage µs in [`crate::codec::STAGE_NAMES`] order.
-    pub stage_us: [u64; 7],
+    stage_us: [u64; 7],
 }
 
 /// Per-request stage-lap accumulator over the router's clock. Inert
@@ -315,14 +315,14 @@ impl Router {
     }
 
     /// Arm the slow-request ring: requests taking at least `ms`
-    /// milliseconds of wall time are retained (top-[`SLOW_RING_CAP`] by
-    /// total time) and reported by `method=stats`. `None` disarms.
+    /// milliseconds of wall time are retained (the top 8 by total time)
+    /// and reported by `method=stats`. `None` disarms.
     pub fn set_log_slow_ms(&mut self, ms: Option<u64>) {
         self.log_slow_us = ms.map(|m| m.saturating_mul(1000));
     }
 
     /// The current slow-request ring, slowest first.
-    pub fn slow_requests(&self) -> Vec<SlowRequest> {
+    fn slow_requests(&self) -> Vec<SlowRequest> {
         let mut v = self
             .slow
             .lock()
@@ -366,11 +366,6 @@ impl Router {
     /// the default cache capacity.
     pub fn from_env() -> Self {
         Self::new(Executor::from_env(), DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Whether this router canonicalizes instances.
-    pub fn canon_enabled(&self) -> bool {
-        self.canon
     }
 
     /// The executor requests are scheduled on.
@@ -1857,7 +1852,6 @@ mod tests {
         // A router with canonicalization disabled wholesale behaves like
         // canon=0 for every request.
         let off = Router::with_canon(Executor::sequential(), 64, false);
-        assert!(!off.canon_enabled());
         let resp = off.handle_line(lit);
         assert!(resp.contains(";cache=miss;"), "{resp}");
         assert_eq!(off.cache_stats().canon_hits, 0);
@@ -2321,70 +2315,6 @@ mod tests {
         ));
         assert!(open2.starts_with("ok;id=o2;session="), "{open2}");
         assert_eq!(payload_of(&open), payload_of(&open2));
-    }
-
-    #[test]
-    fn metrics_method_exposes_registry_counters_once_installed() {
-        let mut r = Router::new(Executor::sequential(), 64);
-        let resp = r.handle_line("ndg1;id=m;method=metrics");
-        assert!(resp.starts_with("ok;id=m;cache=off;"), "{resp}");
-        // Sole install site in this test binary (the registry is
-        // process-global; concurrent tests must not toggle it).
-        ndg_obs::install();
-        let line = format!(
-            "ndg1;id=d;method=dynamics;tree={};game={}",
-            tree_ids(6),
-            cycle_game_spec(6)
-        );
-        let _ = r.handle_line(&line);
-        let _ = r.handle_line(&line);
-        // Session traffic so the session gauge/counters register too:
-        // one open, two deltas (audit_every=2 fires once), one resync.
-        r.set_session_config(crate::session::SessionConfig {
-            audit_every: 2,
-            max_sessions: 8,
-        });
-        let open = r.handle_line(&format!(
-            "ndg1;id=so;method=open;tree={};game={}",
-            tree_ids(5),
-            cycle_game_spec(5)
-        ));
-        let sid = open
-            .split(';')
-            .find_map(|f| f.strip_prefix("session="))
-            .unwrap()
-            .to_string();
-        for epoch in 0..2 {
-            let resp = r.handle_line(&format!(
-                "ndg1;id=sd{epoch};method=delta;session={sid};epoch={epoch};\
-                 delta=patch;edge=4;w={}",
-                epoch + 1
-            ));
-            assert!(resp.starts_with("ok;"), "{resp}");
-        }
-        let _ = r.handle_line(&format!("ndg1;id=sr;method=resync;session={sid}"));
-        let resp = r.handle_line("ndg1;id=m2;method=metrics");
-        let payload = payload_of(&resp);
-        assert!(payload.starts_with("ok;enabled=1;"), "{payload}");
-        for field in [
-            ";serve_requests_total=",
-            ";serve_request_us_count=",
-            ";serve_request_us_p50=",
-            ";serve_solve_us_count=",
-            ";cache_misses_total=",
-            ";canon_memo_hits_total=",
-            ";serve_sessions_open=1;",
-            ";serve_deltas_applied=2;",
-            ";serve_session_resyncs=1;",
-            ";serve_divergence_audits=1;",
-            ";serve_divergence_audits_failed=0;",
-        ] {
-            assert!(payload.contains(field), "missing {field}: {payload}");
-        }
-        // Exposition is a volatile-free payload: replaying the request id
-        // changes nothing but the id.
-        let again = r.handle_line("ndg1;id=m3;method=metrics");
-        assert!(again.starts_with("ok;id=m3;cache=off;"), "{again}");
     }
 
     /// Router under a frozen [`ndg_obs::TestClock`] with a same-clock

@@ -1,10 +1,10 @@
 //! Deterministic mixed-request workload builder.
 //!
-//! `ndg-serve --self-test` and the E12 load generator both need the same
-//! thing: a reproducible stream of `enforce`/`dynamics`/`pos`/`aon`/
-//! `certify` requests over a diverse instance pool, with a configurable
-//! duplicate fraction so the cache hit rate is a dial rather than an
-//! accident. The pool mixes the Theorem 11 cycle family with random
+//! The TCP contract test, the chaos harness, the E12 load generator and
+//! perfbench all need the same thing: a reproducible stream of
+//! `enforce`/`dynamics`/`pos`/`aon`/`certify` requests over a diverse
+//! instance pool, with a configurable duplicate fraction so the cache hit
+//! rate is a dial rather than an accident. The pool mixes the Theorem 11 cycle family with random
 //! connected graphs and the two E12 topology families
 //! ([`ndg_graph::generators::preferential_attachment`] power-law graphs
 //! and [`ndg_graph::generators::grid_with_chords`] ISP-like meshes).
@@ -15,7 +15,7 @@
 
 // The generator's panics are assertions about its own seeded output
 // (never about caller input); a workload that cannot build is a bug the
-// self-test gates must fail loudly on.
+// contract tests must fail loudly on.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::codec::{Method, Request, Solver, WireGame, WireOrder};
@@ -292,22 +292,6 @@ pub fn build_workload(spec: WorkloadSpec) -> Vec<String> {
         .collect()
 }
 
-/// Re-emit `lines` with `trace=1` set on each request. Trace is a
-/// volatile field — the traced stream keys, caches, and answers exactly
-/// like the original, with per-stage timings spliced into each response
-/// header — so a traced self-test can diff payloads against an untraced
-/// reference.
-pub fn with_trace(lines: &[String]) -> Vec<String> {
-    lines
-        .iter()
-        .map(|l| {
-            let mut req = Request::parse(l).expect("workload lines parse");
-            req.trace = true;
-            req.serialize()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,26 +367,5 @@ mod tests {
             spec.distinct,
             "canonical keys must see through the relabelings"
         );
-    }
-
-    #[test]
-    fn with_trace_flips_only_the_volatile_flag() {
-        let lines = build_workload(WorkloadSpec {
-            requests: 20,
-            distinct: 20,
-            seed: 3,
-            isomorphs: 1,
-        });
-        let traced = with_trace(&lines);
-        assert_eq!(lines.len(), traced.len());
-        for (plain, traced) in lines.iter().zip(&traced) {
-            let a = Request::parse(plain).unwrap();
-            let b = Request::parse(traced).unwrap();
-            assert!(!a.trace && b.trace);
-            assert!(traced.contains(";trace=1"), "{traced}");
-            // Volatile: same canonical body, same cache key.
-            assert_eq!(a.canonical_body(), b.canonical_body());
-            assert_eq!(a.cache_key(), b.cache_key());
-        }
     }
 }
