@@ -8,6 +8,15 @@
 //! count is printed. `BENCH_separation.json` at the repo root pins the
 //! measured baseline; note that a single-core container will show no
 //! speedup — the determinism assertions are the portable part.
+//!
+//! Every run checks its rows against that pin: the deterministic `rounds`
+//! and `cuts` of each `cutting_plane_p{players}/threads={t}` row must
+//! match (exit 1 otherwise), while `wall_ms` only warns outside a 4x band.
+//! The file is read, never rewritten. Run it from the repository root:
+//!
+//! ```sh
+//! cargo run --release -p ndg-bench --bin exp_e11
+//! ```
 
 use ndg_bench::{header, random_general, random_tree, row};
 use ndg_core::State;
@@ -16,8 +25,33 @@ use ndg_sne::lp_general::enforce_state_cutting_budgeted;
 use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 4, 8];
+const PINS: &str = "BENCH_separation.json";
+/// Wall-clock drift beyond this factor either way prints a warning.
+const WARN_BAND: f64 = 4.0;
+
+/// The pinned `key` of the `PINS` row `id` (NaN when the row or key is
+/// missing).
+fn pinned(pins: &str, id: &str, key: &str) -> f64 {
+    pins.lines()
+        .find(|l| l.contains(&format!("\"id\": \"{id}\"")))
+        .and_then(|l| {
+            let i = l.find(&format!("\"{key}\": "))?;
+            l[i + key.len() + 4..]
+                .split([',', '}'])
+                .next()?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .unwrap_or(f64::NAN)
+}
 
 fn main() {
+    let pins = std::fs::read_to_string(PINS).unwrap_or_else(|e| {
+        eprintln!("exp_e11: cannot read {PINS}: {e}");
+        std::process::exit(1);
+    });
+    let mut mismatches = 0;
     let widths = [5, 9, 8, 7, 7, 11, 9];
     println!("E11: batched LP separation (n=64 general games, random-tree state)");
     println!(
@@ -63,6 +97,22 @@ fn main() {
                     base_ms / wall_ms
                 }
             };
+            let id = format!("cutting_plane_p{players}/threads={t}");
+            let (rounds, cuts) = (pinned(&pins, &id, "rounds"), pinned(&pins, &id, "cuts"));
+            if (rounds, cuts) != (stats.rounds as f64, stats.cuts_added as f64) {
+                eprintln!(
+                    "exp_e11: {id}: rounds/cuts {}/{} != pinned {rounds}/{cuts} in {PINS}",
+                    stats.rounds, stats.cuts_added
+                );
+                mismatches += 1;
+            }
+            let pin_ms = pinned(&pins, &id, "wall_ms");
+            if !(pin_ms / WARN_BAND..=pin_ms * WARN_BAND).contains(&wall_ms) {
+                println!(
+                    "WARN: {id} wall_ms {wall_ms:.2} vs pinned {pin_ms:.2} — outside the \
+                     {WARN_BAND}x band; wall-clock drift is warn-only"
+                );
+            }
             println!(
                 "{}",
                 row(
@@ -81,4 +131,9 @@ fn main() {
         }
     }
     println!("OK: subsidy vectors bit-identical across thread counts");
+    if mismatches > 0 {
+        eprintln!("exp_e11: {mismatches} row(s) differ from {PINS}");
+        std::process::exit(1);
+    }
+    println!("OK: rounds and cuts match {PINS}");
 }

@@ -234,6 +234,10 @@ fn corrupt_line(line: &str) -> String {
 
 fn connect(addr: std::net::SocketAddr) -> io::Result<(TcpStream, BufReader<TcpStream>)> {
     let conn = TcpStream::connect(addr)?;
+    // A request goes out as several small writes (line, then the blank
+    // flush line); without this, each round trip waits for the server's
+    // delayed ACK (~40 ms).
+    conn.set_nodelay(true)?;
     let reader = BufReader::new(conn.try_clone()?);
     Ok((conn, reader))
 }

@@ -1,8 +1,15 @@
 //! `ndg-bench` — shared workload builders for the experiment harness.
 //!
-//! One Criterion bench and one deterministic experiment binary exist per
-//! paper artifact (see DESIGN.md §3); both pull their instances from here
-//! so timings and printed tables describe the same workloads.
+//! Each paper artifact `EN` (and the ablations `AN`) is measured from two
+//! sides, and both pull their instances from here so that timings and
+//! printed tables describe the same workloads:
+//!
+//! * the Criterion bench `benches/eN_*.rs` times it (E1–E15, A1; `--test`
+//!   runs each body once as a smoke check);
+//! * the experiment binary `src/bin/exp_eN.rs` is deterministic: it prints
+//!   the artifact's table, asserts its invariants and exits nonzero on a
+//!   violation. Binaries that pin a `BENCH_*.json` section hard-check its
+//!   deterministic fields and only warn on wall-clock drift.
 //!
 //! [`chaos`] is the seeded fault-injection harness for `ndg-serve`: its
 //! unit tests are the survival gates, and `exp_e12` runs it as its

@@ -13,12 +13,10 @@
 //! * [`Executor::par_find_first`] — returns the match with the **minimum
 //!   index** (the sequential `find_map` answer), even when a later match is
 //!   discovered first by another worker.
-//! * [`Executor::par_fold`] — chunk-local folds combined left-to-right in
-//!   chunk order; bit-identical to sequential folding whenever the fold
-//!   operation is exactly associative (counting, `min`/`max` under a total
-//!   order). Non-associative float accumulation may differ across thread
-//!   counts — hot paths that need bit-identical reductions use `par_map`
-//!   plus a sequential fold instead.
+//!
+//! Reductions are not a primitive: a caller that needs one maps in
+//! parallel and folds the in-order results sequentially, which keeps float
+//! accumulation bit-identical across thread counts.
 //!
 //! `Executor::new(1)` (or `NDG_THREADS=1`) is an *exact-sequential* mode: no
 //! thread is spawned and every closure runs on the caller's stack in input
@@ -28,8 +26,7 @@
 //! is overridden by the `NDG_THREADS` environment variable (clamped to
 //! ≥ 1; unparsable values fall back to the default).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Profiling counters (no-ops until `ndg_obs::install`): how often the
@@ -41,12 +38,11 @@ static EXEC_SEQ_RUNS: ndg_obs::Counter = ndg_obs::Counter::new("exec_sequential_
 static EXEC_CHUNKS: ndg_obs::Counter = ndg_obs::Counter::new("exec_chunks_total");
 static EXEC_ITEMS: ndg_obs::Counter = ndg_obs::Counter::new("exec_items_total");
 
-/// A cooperative cancellation budget: an optional wall-clock deadline plus
-/// an optional shared cancel flag, checked by long-running engines at
-/// chunk/round boundaries (cutting-plane rounds, dynamics rounds,
-/// enumeration chunks). `Executor` itself is `Copy` and carries no state,
-/// so the budget travels as an explicit parameter through the `_budgeted`
-/// engine entry points.
+/// A cooperative cancellation budget: an optional wall-clock deadline,
+/// checked by long-running engines at chunk/round boundaries
+/// (cutting-plane rounds, dynamics rounds, enumeration chunks). `Executor`
+/// itself is `Copy` and carries no state, so the budget travels as an
+/// explicit parameter through the `_budgeted` engine entry points.
 ///
 /// Expiry is *detected* nondeterministically (it depends on wall-clock
 /// time), but the error the engines surface for it is a fixed value, so
@@ -55,7 +51,6 @@ static EXEC_ITEMS: ndg_obs::Counter = ndg_obs::Counter::new("exec_items_total");
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Budget {
@@ -68,35 +63,13 @@ impl Budget {
     pub fn with_deadline(d: Duration) -> Self {
         Budget {
             deadline: Instant::now().checked_add(d),
-            cancel: None,
         }
     }
 
-    /// Attach a shared cancel flag (set it from another thread to abort).
-    pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
-    /// True when neither a deadline nor a cancel flag is set — callers may
-    /// skip per-item checks entirely.
-    #[inline]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
-    /// Has the budget been exhausted (flag raised or deadline passed)?
+    /// Has the deadline passed?
     #[inline]
     pub fn expired(&self) -> bool {
-        if let Some(f) = &self.cancel {
-            if f.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(t) => Instant::now() >= t,
-            None => false,
-        }
+        self.deadline.is_some_and(|t| Instant::now() >= t)
     }
 
     /// [`expired`](Self::expired) as a `Result` for `?`-style propagation.
@@ -116,7 +89,7 @@ pub struct BudgetExceeded;
 
 impl std::fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "budget exceeded (deadline or cancellation)")
+        write!(f, "budget exceeded (deadline passed)")
     }
 }
 
@@ -231,28 +204,11 @@ impl Executor {
             return items.iter().map(|x| f(&mut s, x)).collect();
         }
         let chunk = self.chunk_len(items.len());
-        let (init, f) = (&init, &f);
-        // Workers inherit the caller's flight-recorder context so engine
-        // sub-events emitted inside `f` keep the request's trace id.
-        let cur = ndg_obs::events::current();
-        let cur = &cur;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|sub| {
-                    scope.spawn(move || {
-                        let _ctx = cur.clone().map(|(r, t)| ndg_obs::events::set_current(r, t));
-                        let mut s = init();
-                        sub.iter().map(|x| f(&mut s, x)).collect::<Vec<U>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for h in handles {
-                out.extend(h.join().expect("ndg-exec worker panicked"));
-            }
-            out
-        })
+        let parts = fan_out(items.chunks(chunk), |_, sub| {
+            let mut s = init();
+            sub.iter().map(|x| f(&mut s, x)).collect::<Vec<U>>()
+        });
+        concat(parts, items.len())
     }
 
     /// Order-preserving parallel map consuming an owned vector, for items
@@ -270,70 +226,12 @@ impl Executor {
         let n = items.len();
         let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
         let chunk = self.chunk_len(n);
-        let f = &f;
-        let cur = ndg_obs::events::current();
-        let cur = &cur;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = slots
-                .chunks_mut(chunk)
-                .map(|sub| {
-                    scope.spawn(move || {
-                        let _ctx = cur.clone().map(|(r, t)| ndg_obs::events::set_current(r, t));
-                        sub.iter_mut()
-                            .map(|slot| f(slot.take().expect("each slot is drained once")))
-                            .collect::<Vec<U>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(n);
-            for h in handles {
-                out.extend(h.join().expect("ndg-exec worker panicked"));
-            }
-            out
-        })
-    }
-
-    /// Parallel fold: each worker folds its contiguous chunk from a fresh
-    /// `identity()`, then the chunk accumulators are combined
-    /// **left-to-right in chunk order**. Identical to the sequential fold
-    /// whenever `combine`/`fold` are exactly associative; see the module
-    /// docs for the float caveat.
-    pub fn par_fold<T, A, FI, F, C>(&self, items: &[T], identity: FI, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send,
-        FI: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        self.note_dispatch(items.len());
-        if self.threads == 1 || items.len() <= 1 {
-            return items.iter().fold(identity(), fold);
-        }
-        let chunk = self.chunk_len(items.len());
-        let (identity, fold) = (&identity, &fold);
-        let cur = ndg_obs::events::current();
-        let cur = &cur;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|sub| {
-                    scope.spawn(move || {
-                        let _ctx = cur.clone().map(|(r, t)| ndg_obs::events::set_current(r, t));
-                        sub.iter().fold(identity(), fold)
-                    })
-                })
-                .collect();
-            let mut acc: Option<A> = None;
-            for h in handles {
-                let part = h.join().expect("ndg-exec worker panicked");
-                acc = Some(match acc {
-                    None => part,
-                    Some(a) => combine(a, part),
-                });
-            }
-            acc.expect("at least one chunk")
-        })
+        let parts = fan_out(slots.chunks_mut(chunk), |_, sub| {
+            sub.iter_mut()
+                .map(|slot| f(slot.take().expect("each slot is drained once")))
+                .collect::<Vec<U>>()
+        });
+        concat(parts, n)
     }
 
     /// First match in **input order**: the parallel equivalent of
@@ -354,38 +252,63 @@ impl Executor {
         }
         let chunk = self.chunk_len(n);
         let best = AtomicUsize::new(usize::MAX);
-        let (best, f) = (&best, &f);
-        let cur = ndg_obs::events::current();
-        let cur = &cur;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(c, sub)| {
-                    scope.spawn(move || {
-                        let _ctx = cur.clone().map(|(r, t)| ndg_obs::events::set_current(r, t));
-                        let base = c * chunk;
-                        for (j, x) in sub.iter().enumerate() {
-                            let i = base + j;
-                            if best.load(Ordering::Relaxed) < i {
-                                return None; // a lower-index match exists
-                            }
-                            if let Some(v) = f(i, x) {
-                                best.fetch_min(i, Ordering::Relaxed);
-                                return Some((i, v));
-                            }
-                        }
-                        None
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("ndg-exec worker panicked"))
-                .min_by_key(|&(i, _)| i)
-                .map(|(_, v)| v)
+        fan_out(items.chunks(chunk), |c, sub| {
+            let base = c * chunk;
+            for (j, x) in sub.iter().enumerate() {
+                let i = base + j;
+                if best.load(Ordering::Relaxed) < i {
+                    return None; // a lower-index match exists
+                }
+                if let Some(v) = f(i, x) {
+                    best.fetch_min(i, Ordering::Relaxed);
+                    return Some((i, v));
+                }
+            }
+            None
         })
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(i, _)| i)
+        .map(|(_, v)| v)
     }
+}
+
+/// The one fan-out: run `work(c, chunk)` for every chunk on its own scoped
+/// thread and return the results in chunk order. Each worker inherits the
+/// caller's flight-recorder context, so engine sub-events emitted inside
+/// `work` keep the request's trace id.
+fn fan_out<C, R, W>(chunks: impl Iterator<Item = C>, work: W) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+    W: Fn(usize, C) -> R + Sync,
+{
+    let cur = ndg_obs::events::current();
+    let (cur, work) = (&cur, &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(c, chunk)| {
+                scope.spawn(move || {
+                    let _ctx = cur.clone().map(|(r, t)| ndg_obs::events::set_current(r, t));
+                    work(c, chunk)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ndg-exec worker panicked"))
+            .collect()
+    })
+}
+
+/// Stitch per-chunk outputs back into one vector of `n` items.
+fn concat<U>(parts: Vec<Vec<U>>, n: usize) -> Vec<U> {
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -443,18 +366,22 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_counts_match_sequential() {
-        let items: Vec<u64> = (0..4096).collect();
-        let want: u64 = items.iter().filter(|&&x| x % 3 == 0).count() as u64;
-        for t in [1, 2, 5, 16] {
+    fn workers_inherit_the_callers_trace_context() {
+        use ndg_obs::events::{current, set_current, Recorder};
+        let clock = std::sync::Arc::new(ndg_obs::TestClock::new());
+        let _ctx = set_current(std::sync::Arc::new(Recorder::new(4, clock)), 42);
+        let trace = || current().map(|(_, id)| id);
+        let items: Vec<usize> = (0..64).collect();
+        for t in [1, 4] {
             let ex = Executor::new(t);
-            let got = ex.par_fold(
-                &items,
-                || 0u64,
-                |acc, &x| acc + u64::from(x % 3 == 0),
-                |a, b| a + b,
-            );
-            assert_eq!(got, want, "threads={t}");
+            assert!(ex
+                .par_map(&items, |_| trace())
+                .iter()
+                .all(|&id| id == Some(42)));
+            let owned = ex.par_map_vec(items.clone(), |_| trace());
+            assert!(owned.iter().all(|&id| id == Some(42)), "threads={t}");
+            let last = ex.par_find_first(&items, |i, _| (i == 63).then(trace));
+            assert_eq!(last, Some(Some(42)), "threads={t}");
         }
     }
 
@@ -465,13 +392,11 @@ mod tests {
         assert!(ex.par_map(&empty, |&x| x).is_empty());
         assert_eq!(ex.par_find_first(&empty, |_, &x: &u32| Some(x)), None);
         assert_eq!(ex.par_map(&[42u32], |&x| x + 1), vec![43]);
-        assert_eq!(ex.par_fold(&empty, || 7u32, |a, &x| a + x, |a, b| a + b), 7);
     }
 
     #[test]
     fn budget_unlimited_never_expires() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert!(!b.expired());
         assert!(b.check().is_ok());
     }
@@ -479,7 +404,6 @@ mod tests {
     #[test]
     fn budget_zero_deadline_expires_immediately() {
         let b = Budget::with_deadline(Duration::ZERO);
-        assert!(!b.is_unlimited());
         assert!(b.expired());
         assert_eq!(b.check(), Err(BudgetExceeded));
     }
@@ -488,16 +412,6 @@ mod tests {
     fn budget_long_deadline_not_expired_yet() {
         let b = Budget::with_deadline(Duration::from_secs(3600));
         assert!(!b.expired());
-    }
-
-    #[test]
-    fn budget_cancel_flag_trips_it() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::unlimited().with_cancel_flag(flag.clone());
-        assert!(!b.is_unlimited());
-        assert!(!b.expired());
-        flag.store(true, Ordering::Relaxed);
-        assert!(b.expired());
     }
 
     #[test]

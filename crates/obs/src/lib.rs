@@ -21,10 +21,8 @@
 //!
 //! Histograms are HDR-style with fixed log₂ buckets: bucket 0 holds
 //! the value 0 and bucket `i ≥ 1` holds `v ∈ [2^(i-1), 2^i - 1]`, so
-//! powers of two are exact lower bucket boundaries. Snapshots merge by
-//! element-wise addition (exactly associative and commutative), and
-//! quantiles report the rank bucket's upper bound clamped to the exact
-//! recorded maximum — at most 2× above the true rank value, monotone
+//! powers of two are exact lower bucket boundaries. Quantiles report
+//! the rank bucket's upper bound clamped to the exact recorded maximum — at most 2× above the true rank value, monotone
 //! in the requested quantile, and exact when all mass sits on one
 //! recorded value.
 
@@ -286,9 +284,7 @@ impl Default for LogHistogram {
     }
 }
 
-/// Immutable copy of a [`LogHistogram`]'s state. Merging is
-/// element-wise addition plus max-of-max: exactly associative and
-/// commutative, so shard snapshots can be combined in any order.
+/// Immutable copy of a [`LogHistogram`]'s state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts (see [`bucket_index`]).
@@ -304,36 +300,9 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// The empty snapshot (merge identity).
-    pub fn empty() -> Self {
-        HistSnapshot {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-
     /// Exact integer mean (`sum / count`, 0 if empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Merge `other` into `self` (element-wise add, min of min, max of
-    /// max; an empty side never contributes its placeholder min).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.min = match (self.count, other.count) {
-            (0, _) => other.min,
-            (_, 0) => self.min,
-            _ => self.min.min(other.min),
-        };
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     /// Quantile estimate for `q ∈ [0, 1]`: the upper bound of the
@@ -368,24 +337,6 @@ impl HistSnapshot {
     /// 99th-percentile estimate.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Element-wise difference `self − earlier` (for delta windows over
-    /// a monotone series of snapshots of the same histogram). `min` and
-    /// `max` are carried from `self`: the exact extremes of the window
-    /// are not recoverable, so the delta's quantiles remain bounds.
-    pub fn since(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (i, dst) in buckets.iter_mut().enumerate() {
-            *dst = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-        }
     }
 }
 
@@ -481,7 +432,7 @@ pub fn expose() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Clocks and spans
+// Clocks
 // ---------------------------------------------------------------------------
 
 /// Microsecond clock abstraction so span timing can be driven by a
@@ -546,41 +497,6 @@ impl Default for TestClock {
 impl Clock for TestClock {
     fn now_us(&self) -> u64 {
         self.us.load(Ordering::SeqCst)
-    }
-}
-
-/// Lap timer over a [`Clock`]: `lap()` returns the µs since the
-/// previous lap (or start), `total()` the µs since start. One of these
-/// lives on the stack per traced request.
-pub struct SpanTimer<'c> {
-    clock: &'c dyn Clock,
-    start: u64,
-    last: u64,
-}
-
-impl<'c> SpanTimer<'c> {
-    /// Start timing now.
-    pub fn start(clock: &'c dyn Clock) -> Self {
-        let now = clock.now_us();
-        SpanTimer {
-            clock,
-            start: now,
-            last: now,
-        }
-    }
-
-    /// Microseconds since the previous lap (or since start for the
-    /// first lap); advances the lap origin.
-    pub fn lap(&mut self) -> u64 {
-        let now = self.clock.now_us();
-        let d = now.saturating_sub(self.last);
-        self.last = now;
-        d
-    }
-
-    /// Microseconds since start (does not advance the lap origin).
-    pub fn total(&self) -> u64 {
-        self.clock.now_us().saturating_sub(self.start)
     }
 }
 
@@ -1014,13 +930,6 @@ mod tests {
         assert_eq!(s.max, 250);
         assert_eq!(s.sum, 363);
         assert_eq!(s.mean(), 363 / 5);
-        // Merging an empty snapshot must not drag the min to 0.
-        let mut m = s.clone();
-        m.merge(&HistSnapshot::empty());
-        assert_eq!(m, s);
-        let mut e = HistSnapshot::empty();
-        e.merge(&s);
-        assert_eq!(e, s);
     }
 
     #[test]
@@ -1043,18 +952,6 @@ mod tests {
         assert_eq!(s.sum, expect_sum);
         assert_eq!(s.max, threads * per - 1);
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
-    }
-
-    #[test]
-    fn span_timer_with_test_clock_is_deterministic() {
-        let c = TestClock::new();
-        let mut t = SpanTimer::start(&c);
-        c.advance_us(3);
-        assert_eq!(t.lap(), 3);
-        c.advance_us(45);
-        assert_eq!(t.lap(), 45);
-        assert_eq!(t.lap(), 0);
-        assert_eq!(t.total(), 48);
     }
 
     // The install flag is process-global; this is the only test in the
@@ -1257,34 +1154,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn merge_is_commutative_and_associative(
-            a in proptest::collection::vec(0u64..1_000_000, 0..64),
-            b in proptest::collection::vec(0u64..1_000_000, 0..64),
-            c in proptest::collection::vec(0u64..1_000_000, 0..64),
-        ) {
-            let (sa, sb, sc) = (snap_of(&a), snap_of(&b), snap_of(&c));
-            // commutative
-            let mut ab = sa.clone();
-            ab.merge(&sb);
-            let mut ba = sb.clone();
-            ba.merge(&sa);
-            prop_assert_eq!(&ab, &ba);
-            // associative
-            let mut ab_c = ab.clone();
-            ab_c.merge(&sc);
-            let mut bc = sb.clone();
-            bc.merge(&sc);
-            let mut a_bc = sa.clone();
-            a_bc.merge(&bc);
-            prop_assert_eq!(&ab_c, &a_bc);
-            // merge equals single-pass recording
-            let mut all = a.clone();
-            all.extend_from_slice(&b);
-            all.extend_from_slice(&c);
-            prop_assert_eq!(&ab_c, &snap_of(&all));
-        }
-
         #[test]
         fn quantiles_are_monotone_in_q(
             vals in proptest::collection::vec(0u64..10_000_000, 1..128),

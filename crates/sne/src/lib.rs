@@ -6,7 +6,9 @@
 //! * [`lp_broadcast`] — LP (3): the O(|E|)-constraint broadcast LP
 //!   certified correct by Lemma 2.
 //! * [`lp_general`] — LP (1): the exponential LP solved by cutting planes
-//!   with the shortest-path separation oracle (Theorem 1).
+//!   with the shortest-path separation oracle (Theorem 1). It holds the
+//!   crate's one cutting-plane engine, written for player demands; LP (1)
+//!   runs it at unit demands and [`lp_weighted`] at the client's.
 //! * [`lp_poly`] — LP (2): the polynomial-size `π`-variable reformulation.
 //! * [`theorem6`] — the constructive algorithm of Theorem 6: weight-layer
 //!   decomposition + virtual-cost subsidy packing, with certified cost
@@ -18,7 +20,7 @@
 //! * [`combinatorial`] — an LP-free exact SNE algorithm for the cycle
 //!   family (partial answer to the first open problem);
 //! * [`lp_weighted`] — enforcement for weighted players via the Theorem 1
-//!   constraint-generation route.
+//!   constraint-generation route, on the same engine as LP (1).
 
 pub mod combinatorial;
 pub mod lower_bound;

@@ -10,71 +10,16 @@
 //!   Σ_{a∈Tᵢ} (w_a−b_a)/D_a(T)  ≤  Σ_{a∈T'ᵢ} (w_a−b_a)/D'_a ,
 //!   D'_a = D_a(T) + dᵢ·(1 − n_a^i(T)).
 //! ```
+//!
+//! LP (1) and this LP share one engine, the demand-weighted Theorem 1
+//! loop in [`crate::lp_general`]: LP (1) is its unit-demand case, and this
+//! module runs it at the client's demands behind the weighted Nash gate.
 
 use crate::{SneError, SneSolution};
-use ndg_core::weighted::{weighted_player_cost, Demands};
-use ndg_core::{NetworkDesignGame, State, SubsidyAssignment};
+use ndg_core::weighted::Demands;
+use ndg_core::{NetworkDesignGame, State};
 use ndg_exec::{Budget, Executor};
-use ndg_graph::paths::{PooledWorkspace, WorkspacePool};
-use ndg_graph::EdgeId;
-use ndg_lp::{
-    solve_with_batched_cuts, BatchSeparationOracle, CutError, CutStats, LinearProgram, Row, RowOp,
-};
-use std::collections::HashMap;
-
-const ORACLE_TOL: f64 = 1e-7;
-const MAX_ROUNDS: usize = 500;
-
-/// The weighted best-response oracle as a batch of per-player items (same
-/// parallel shape as `lp_general`: one pooled Dijkstra workspace per
-/// worker, rows gathered in player order).
-struct WeightedSeparator<'a> {
-    game: &'a NetworkDesignGame,
-    state: &'a State,
-    demands: &'a Demands,
-    var_list: &'a [EdgeId],
-    var_of: &'a HashMap<EdgeId, usize>,
-    pool: &'a WorkspacePool,
-    b: SubsidyAssignment,
-}
-
-impl<'a> BatchSeparationOracle for WeightedSeparator<'a> {
-    type Scratch = (PooledWorkspace<'a>, Vec<EdgeId>);
-
-    fn batch_size(&self) -> usize {
-        self.game.num_players()
-    }
-
-    fn prepare(&mut self, x: &[f64]) {
-        let g = self.game.graph();
-        for (k, &e) in self.var_list.iter().enumerate() {
-            self.b.set(g, e, x[k]);
-        }
-    }
-
-    fn make_scratch(&self) -> Self::Scratch {
-        (self.pool.acquire(), Vec::new())
-    }
-
-    fn separate_item(&self, i: usize, (ws, path): &mut Self::Scratch) -> Option<Row> {
-        let g = self.game.graph();
-        let player = self.game.players()[i];
-        let (state, demands, b) = (self.state, self.demands, &self.b);
-        let d_i = demands.of(i);
-        let current = weighted_player_cost(self.game, state, demands, b, i);
-        ws.run(g, player.source, Some(player.terminal), |e| {
-            let load = demands.load(state, e) + if state.uses(i, e) { 0.0 } else { d_i };
-            b.residual(g, e) * d_i / load
-        });
-        if ws.dist(player.terminal) < current - ORACLE_TOL {
-            let reached = ws.path_into(g, player.terminal, path);
-            debug_assert!(reached, "terminal reachable by game validation");
-            Some(constraint(self.game, state, demands, self.var_of, i, path))
-        } else {
-            None
-        }
-    }
-}
+use ndg_lp::CutStats;
 
 /// Minimum-cost subsidies enforcing `state` in the weighted extension.
 /// Separation runs on `ex` and the result is independent of its thread
@@ -87,74 +32,11 @@ pub fn enforce_state_weighted_budgeted(
     ex: &Executor,
     budget: &Budget,
 ) -> Result<(SneSolution, CutStats), SneError> {
-    let g = game.graph();
-    let established = state.established_edges();
-    let mut lp = LinearProgram::new();
-    let mut var_of: HashMap<EdgeId, usize> = HashMap::new();
-    for &e in &established {
-        let v = lp.add_var(1.0, 0.0, g.weight(e))?;
-        var_of.insert(e, v);
-    }
-    let var_list = established.clone();
-
-    let pool = WorkspacePool::new(g.node_count());
-    let mut oracle = WeightedSeparator {
-        game,
-        state,
-        demands,
-        var_list: &var_list,
-        var_of: &var_of,
-        pool: &pool,
-        b: SubsidyAssignment::zero(g),
-    };
-    let (sol, stats) = solve_with_batched_cuts(&mut lp, &mut oracle, MAX_ROUNDS, ex, budget)
-        .map_err(|e| match e {
-            CutError::Cancelled => SneError::Cancelled,
-            other => SneError::Cut(other.to_string()),
-        })?;
-    let mut b = SubsidyAssignment::zero(g);
-    for (k, &e) in var_list.iter().enumerate() {
-        b.set(g, e, sol.x[k]);
-    }
+    let (b, stats) = crate::lp_general::cutting_plane_subsidies(game, state, demands, ex, budget)?;
     if !ndg_core::weighted_is_equilibrium(game, state, demands, &b) {
         return Err(SneError::VerificationFailed);
     }
     Ok((SneSolution::new(b), stats))
-}
-
-fn constraint(
-    game: &NetworkDesignGame,
-    state: &State,
-    demands: &Demands,
-    var_of: &HashMap<EdgeId, usize>,
-    i: usize,
-    path: &[EdgeId],
-) -> Row {
-    let g = game.graph();
-    let d_i = demands.of(i);
-    let mut coeff: HashMap<usize, f64> = HashMap::new();
-    let mut rhs = 0.0;
-    for &a in state.path(i) {
-        let load = demands.load(state, a);
-        rhs -= g.weight(a) / load;
-        if let Some(&v) = var_of.get(&a) {
-            *coeff.entry(v).or_insert(0.0) -= 1.0 / load;
-        }
-    }
-    for &a in path {
-        let load = demands.load(state, a) + if state.uses(i, a) { 0.0 } else { d_i };
-        rhs += g.weight(a) / load;
-        if let Some(&v) = var_of.get(&a) {
-            *coeff.entry(v).or_insert(0.0) += 1.0 / load;
-        }
-    }
-    let mut coeffs: Vec<(usize, f64)> = coeff
-        .into_iter()
-        .filter(|&(_, c)| c.abs() > 1e-14)
-        .collect();
-    // Deterministic row layout regardless of HashMap iteration order.
-    coeffs.sort_by_key(|&(v, _)| v);
-    Row::new(coeffs, RowOp::Le, rhs)
 }
 
 #[cfg(test)]
@@ -236,5 +118,73 @@ mod tests {
                 &sol.subsidies
             ));
         }
+    }
+
+    /// Bit-exact weighted-LP answers on the LP (1) pin instances, each
+    /// under seeded random demands in `[0.2, 5)`.
+    #[test]
+    fn golden_bits_are_pinned() {
+        use crate::lp_general::tests::{assert_pins, pin_instances, Pin};
+        use rand::prelude::*;
+        const PINS: [Pin; 4] = [
+            (
+                "broadcast_mst",
+                0x3fe2a6863924a558,
+                2,
+                2,
+                &[(2, 0x3fd4de2b928dbce3), (26, 0x3fd06ee0dfbb8dce)],
+            ),
+            (
+                "broadcast_random_tree",
+                0x4011d67aeb0810a2,
+                3,
+                6,
+                &[
+                    (2, 0x3fed22f86eb2dac9),
+                    (6, 0x3feb9a4f7688b3d0),
+                    (10, 0x3ff38cd4b1c3195c),
+                    (14, 0x3fd1587668eb3a9a),
+                    (19, 0x3ff318556d84933a),
+                ],
+            ),
+            (
+                "general_random_tree",
+                0x400ed0aefadc182b,
+                4,
+                7,
+                &[
+                    (0, 0x3feaf4bc4f0c4178),
+                    (2, 0x3fdf5a27bcf56128),
+                    (8, 0x3fe6dc31c1297f29),
+                    (16, 0x3ff3ed1349dae844),
+                    (25, 0x3fe1ea93690a1ef0),
+                ],
+            ),
+            (
+                "general_mst",
+                0x3ff4cf1a384c4ea9,
+                2,
+                3,
+                &[
+                    (5, 0x3fe8754297622d42),
+                    (7, 0x3f6016aec75ea0f1),
+                    (8, 0x3fd45ab53298a7ce),
+                    (17, 0x3fcbae02448af622),
+                ],
+            ),
+        ];
+        let demands: Vec<Demands> = (pin_instances().iter().enumerate())
+            .map(|(k, (_, game, _))| {
+                let mut rng = StdRng::seed_from_u64(20 + k as u64);
+                let d = (0..game.num_players())
+                    .map(|_| rng.random_range(0.2..5.0))
+                    .collect();
+                Demands::new(game, d).unwrap()
+            })
+            .collect();
+        assert_pins(&PINS, |k, game, state, ex| {
+            enforce_state_weighted_budgeted(game, state, &demands[k], ex, &Budget::unlimited())
+                .unwrap()
+        });
     }
 }
