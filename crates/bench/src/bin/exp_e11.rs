@@ -1,8 +1,7 @@
 //! E11 — parallel LP separation: cutting-plane wall time vs thread count.
 //!
-//! Deterministic companion of `benches/e11_parallel_separation.rs`: the
-//! same n=64 general games are priced with the batched cutting-plane
-//! solver at threads ∈ {1, 4, 8}. The subsidy vectors must be
+//! n=64 general games at a random spanning-tree state are priced with
+//! the batched cutting-plane solver at threads ∈ {1, 4, 8}. The subsidy vectors must be
 //! **bit-identical** across thread counts (batched rows are gathered in
 //! player order with sorted coefficients), and the wall clock per thread
 //! count is printed. `BENCH_separation.json` at the repo root pins the

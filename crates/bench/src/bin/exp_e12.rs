@@ -1,9 +1,8 @@
 //! E12 — serving-layer load test: throughput, cache hit rate, latency.
 //!
-//! Deterministic companion of `benches/e12_serve_throughput.rs`: a mixed
-//! `enforce`/`dynamics`/`pos`/`aon`/`certify` workload (400 requests over
-//! 100 distinct bodies → target hit ratio 75%) is replayed through the
-//! [`ndg_serve::Router`] three ways:
+//! A mixed `enforce`/`dynamics`/`pos`/`aon`/`certify` workload (400
+//! requests over 100 distinct bodies → target hit ratio 75%) is replayed
+//! through the [`ndg_serve::Router`] three ways:
 //!
 //! 1. a **sequential reference** pass with the cache disabled — direct
 //!    library calls behind the codec, the byte-exact ground truth;
@@ -43,8 +42,10 @@
 //! determinism, 2× histogram agreement, the ≤5% + 2 ms overhead gate)
 //! stay hard in every mode.
 //!
-//! `BENCH_serve.json` at the repo root pins the measured baseline. A
-//! 1-core container shows no batching speedup — the determinism
+//! `BENCH_serve.json` at the repo root pins the measured baseline: a
+//! full run rewrites this binary's top-level entries and keeps the
+//! `e14_canon` and `e16_sessions` sections byte for byte. A 1-core
+//! container shows no batching speedup — the determinism
 //! assertions are the portable part; re-measure on multicore hardware.
 
 use ndg_bench::chaos::{run_chaos, ChaosSpec};
@@ -394,55 +395,50 @@ fn main() {
     );
     println!("OK: server survived fault injection; surviving payloads byte-identical");
 
-    // 5. Pin the baseline.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"group\": \"e12_serve_throughput\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"ndg-serve batched request engine on a mixed enforce/dynamics/pos/aon/certify workload ({} requests over {} distinct bodies, batch={BATCH}); payloads asserted byte-identical to sequential cache-off library calls at every thread count. Measured in a {}-core container: batching cannot speed up a single core, so re-measure requests/s on multicore hardware; the determinism + cache-reuse numbers are the portable part.\",\n",
-        spec.requests,
-        spec.distinct,
-        ndg_exec::available_threads(),
-    ));
-    json.push_str(&format!(
-        "  \"container_cores\": {},\n",
-        ndg_exec::available_threads()
-    ));
-    json.push_str(&format!(
-        "  \"latency\": {{ \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \"server_p50_us\": {server_p50:.1}, \"server_p99_us\": {server_p99:.1}, \"cache_hit_rate\": {hit_rate:.3} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"obs_overhead\": {{ \"warm_replay_ms_off\": {warm_off_ms:.2}, \"warm_replay_ms_on\": {warm_on_ms:.2}, \"on_arm\": \"registry + flight recorder + jsonl sink (sample=8)\", \"gate\": \"<=5% + 2 ms\" }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"e12_chaos\": {{ \"fault_rate\": {fault_rate}, \"wall_ms\": {chaos_ms:.2}, \
-         \"requests\": {}, \"corrupt\": {}, \"torn\": {}, \"panics\": {}, \"delays\": {}, \
-         \"disconnects\": {}, \"shed\": {}, \"survived\": true }},\n",
-        chaos.requests,
-        chaos.corrupt,
-        chaos.torn,
-        chaos.panics,
-        chaos.delays,
-        chaos.disconnects,
-        chaos.shed
-    ));
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, (t, wall_ms, rps, hr)) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"id\": \"serve_batched/threads={t}\", \"wall_ms\": {wall_ms:.2}, \"requests_per_s\": {rps:.0}, \"cache_hit_rate\": {hr:.3} }}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    // 5. Pin the baseline: rewrite this binary's top-level entries and
+    //    keep every other section (`e14_canon`, `e16_sessions`) as it is.
+    let cores = ndg_exec::available_threads();
+    let rows: Vec<String> = results
+        .iter()
+        .map(|(t, wall_ms, rps, hr)| {
+            format!(
+                "    {{ \"id\": \"serve_batched/threads={t}\", \"wall_ms\": {wall_ms:.2}, \"requests_per_s\": {rps:.0}, \"cache_hit_rate\": {hr:.3} }}"
+            )
+        })
+        .collect();
+    let entries = [
+        ("group", "\"e12_serve_throughput\"".to_string()),
+        ("note", format!(
+            "\"ndg-serve batched request engine on a mixed enforce/dynamics/pos/aon/certify workload ({} requests over {} distinct bodies, batch={BATCH}); payloads asserted byte-identical to sequential cache-off library calls at every thread count. Measured in a {cores}-core container: batching cannot speed up a single core, so re-measure requests/s on multicore hardware; the determinism + cache-reuse numbers are the portable part.\"",
+            spec.requests,
+            spec.distinct,
+        )),
+        ("container_cores", cores.to_string()),
+        ("latency", format!(
+            "{{ \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \"server_p50_us\": {server_p50:.1}, \"server_p99_us\": {server_p99:.1}, \"cache_hit_rate\": {hit_rate:.3} }}"
+        )),
+        ("obs_overhead", format!(
+            "{{ \"warm_replay_ms_off\": {warm_off_ms:.2}, \"warm_replay_ms_on\": {warm_on_ms:.2}, \"on_arm\": \"registry + flight recorder + jsonl sink (sample=8)\", \"gate\": \"<=5% + 2 ms\" }}"
+        )),
+        ("e12_chaos", format!(
+            "{{ \"fault_rate\": {fault_rate}, \"wall_ms\": {chaos_ms:.2}, \
+             \"requests\": {}, \"corrupt\": {}, \"torn\": {}, \"panics\": {}, \"delays\": {}, \
+             \"disconnects\": {}, \"shed\": {}, \"survived\": true }}",
+            chaos.requests,
+            chaos.corrupt,
+            chaos.torn,
+            chaos.panics,
+            chaos.delays,
+            chaos.disconnects,
+            chaos.shed
+        )),
+        ("benchmarks", format!("[\n{}\n  ]", rows.join(",\n"))),
+    ];
     let path = "BENCH_serve.json";
-    // Preserve the `e14_canon` section pinned by exp_e14, if one is
-    // already there (shared layout invariant: ndg_bench::split/join).
-    if let Ok(old) = std::fs::read_to_string(path) {
-        if let (_, Some(section)) = ndg_bench::split_bench_serve(&old) {
-            let (body, _) = ndg_bench::split_bench_serve(&json);
-            json = ndg_bench::join_bench_serve(&body, Some(&section));
-        }
-    }
+    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
+    let json = entries.iter().fold(old, |text, (key, value)| {
+        ndg_bench::splice_bench_section(&text, key, value)
+    });
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

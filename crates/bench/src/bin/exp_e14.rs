@@ -19,9 +19,9 @@
 //!    canonicalization overhead against the literal pipeline.
 //!
 //! Results are spliced into `BENCH_serve.json` under `"e14_canon"`
-//! (preserving the E12 section). 1-core container: wall-clock speedups
-//! are not measurable here — hit rates and byte-identity are the
-//! portable part.
+//! (every other section is kept byte for byte). 1-core container:
+//! wall-clock speedups are not measurable here — hit rates and
+//! byte-identity are the portable part.
 
 use ndg_bench::{header, row};
 use ndg_exec::Executor;
@@ -107,6 +107,10 @@ fn main() {
         "acceptance gate: canonical hit rate must reach 90%, got {canon_rate:.3}"
     );
     assert!(
+        cstats.canon_hits > 0,
+        "canonical hits must be isomorphism-mediated ({cstats:?})"
+    );
+    assert!(
         literal_rate < 0.80,
         "literal baseline must stay near its per-duplicate floor, got {literal_rate:.3}"
     );
@@ -178,11 +182,11 @@ fn main() {
          threads ∈ {THREADS:?}, canon ∈ {{1, 0}}"
     );
 
-    // 4. Splice the e14 section into BENCH_serve.json, preserving E12
-    //    (shared layout invariant: ndg_bench::split/join).
+    // 4. Splice the e14 section into BENCH_serve.json; every other
+    //    section stays as it is.
     let section = {
         let mut s = String::new();
-        s.push_str("\"e14_canon\": {\n");
+        s.push_str("{\n");
         s.push_str(&format!(
             "    \"note\": \"E12 mixed workload re-run with relabeled duplicates ({} requests over {} base instances x{} random relabelings); canonical keying collapses {} literal bodies onto {} isomorphism classes. Payloads asserted byte-identical to the per-mode sequential cache-off references at threads 1/4/8.\",\n",
             SPEC.requests,
@@ -210,15 +214,8 @@ fn main() {
         s
     };
     let path = "BENCH_serve.json";
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let (body, _) = ndg_bench::split_bench_serve(&existing);
-            ndg_bench::join_bench_serve(&body, Some(&section))
-        }
-        // No pinned file yet: a fresh single-section object (the splice
-        // path would leave a stray leading comma here).
-        Err(_) => format!("{{\n  {section}\n}}\n"),
-    };
+    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
+    let merged = ndg_bench::splice_bench_section(&old, "e14_canon", &section);
     match std::fs::File::create(path).and_then(|mut f| f.write_all(merged.as_bytes())) {
         Ok(()) => println!("wrote {path} (e14_canon section)"),
         Err(e) => eprintln!("could not write {path}: {e}"),

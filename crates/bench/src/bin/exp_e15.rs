@@ -170,11 +170,11 @@ fn main() {
          torus_3x3; trivial-group overhead within 10% on random_9"
     );
 
-    // Splice the e15 section into BENCH_dynamics.json, preserving the
-    // pinned e10/e13 body (shared layout invariant: ndg_bench::split/join).
+    // Splice the e15 section into BENCH_dynamics.json; the pinned e10/e13
+    // rows stay as they are.
     let section = {
         let mut s = String::new();
-        s.push_str("\"e15_orbit\": {\n");
+        s.push_str("{\n");
         s.push_str(
             "    \"note\": \"Orbit-pruned exact PoS vs the unpruned spanning-tree sweep: \
              one Lemma-2 scan per tree orbit under the root-fixing automorphism group \
@@ -203,15 +203,8 @@ fn main() {
         s
     };
     let path = "BENCH_dynamics.json";
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let (body, _) = ndg_bench::split_bench_section(&existing, "e15_orbit");
-            ndg_bench::join_bench_section(&body, Some(&section))
-        }
-        // No pinned file yet: a fresh single-section object (the splice
-        // path would leave a stray leading comma here).
-        Err(_) => format!("{{\n  {section}\n}}\n"),
-    };
+    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
+    let merged = ndg_bench::splice_bench_section(&old, "e15_orbit", &section);
     match std::fs::File::create(path).and_then(|mut f| f.write_all(merged.as_bytes())) {
         Ok(()) => println!("wrote {path} (e15_orbit section)"),
         Err(e) => eprintln!("could not write {path}: {e}"),

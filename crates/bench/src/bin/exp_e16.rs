@@ -20,8 +20,9 @@
 //! warm-vs-cold work per delta, which survives the hardware.
 //!
 //! Results are spliced into `BENCH_serve.json` under `"e16_sessions"`
-//! (preserving the pinned e12/e14 body); `--smoke` shrinks the delta
-//! count, keeps the byte-identity gate, and skips the baseline write.
+//! (every other section is kept byte for byte); `--smoke` shrinks the
+//! delta count, keeps the byte-identity gate, and skips the baseline
+//! write.
 
 use ndg_bench::{header, row};
 use ndg_exec::Executor;
@@ -215,7 +216,7 @@ fn main() {
     }
     let section = {
         let mut s = String::new();
-        s.push_str("\"e16_sessions\": {\n");
+        s.push_str("{\n");
         s.push_str(
             "    \"note\": \"Delta sessions: seeded patch sequences through method=delta \
              (warm: engine starts from the previous converged state; only each delta's \
@@ -243,13 +244,8 @@ fn main() {
         s
     };
     let path = "BENCH_serve.json";
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let (body, _) = ndg_bench::split_bench_section(&existing, "e16_sessions");
-            ndg_bench::join_bench_section(&body, Some(&section))
-        }
-        Err(_) => format!("{{\n  {section}\n}}\n"),
-    };
+    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
+    let merged = ndg_bench::splice_bench_section(&old, "e16_sessions", &section);
     match std::fs::File::create(path).and_then(|mut f| f.write_all(merged.as_bytes())) {
         Ok(()) => println!("wrote {path} (e16_sessions section)"),
         Err(e) => eprintln!("could not write {path}: {e}"),

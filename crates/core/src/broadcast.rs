@@ -209,7 +209,7 @@ pub fn lemma2_violation_eps_with(
     ex.par_find_first(&candidates, |_, &(e, eu, ev)| check(e, eu, ev))
 }
 
-/// Whether the spanning tree is an equilibrium (Lemma 2 criterion).
+/// Whether the spanning tree is an equilibrium (Lemma 2 condition).
 pub fn is_tree_equilibrium(
     game: &NetworkDesignGame,
     rt: &RootedTree,

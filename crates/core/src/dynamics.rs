@@ -198,7 +198,7 @@ pub fn best_response_dynamics_budgeted(
 /// The pre-incremental reference driver: recomputes the full `O(m)`
 /// potential after every move and runs a fresh Dijkstra per player per
 /// scan. Kept verbatim for cross-checking ([`best_response_dynamics_budgeted`]
-/// must reproduce its decisions) and as the baseline of the E10 bench.
+/// must reproduce its decisions) and as the baseline of E10 and E13.
 /// MaxGain here performs one move per `max_rounds` unit, as the seed
 /// driver did.
 pub fn best_response_dynamics_naive(

@@ -435,7 +435,7 @@ impl<'a> IncrementalDynamics<'a> {
     /// (the state will keep evolving), `None` means the maintained view is
     /// invalid and the caller must use the probe/sweep path.
     ///
-    /// Soundness note: Lemma 2 is a *global* criterion — a single player's
+    /// Soundness note: Lemma 2 is a *global* condition — a single player's
     /// clean margins do **not** certify that she cannot improve (her best
     /// deviation may enter the tree through another node's non-tree
     /// adjacency), so per-player margin skipping would change decisions.

@@ -59,7 +59,4 @@ pub use potential::{potential_sandwich, rosenthal_potential};
 pub use recert::{CertifierStats, IncrementalCertifier};
 pub use state::{State, StateError};
 pub use subsidy::{SubsidyAssignment, SubsidyError};
-pub use weighted::{
-    weighted_best_response, weighted_deviation_cost, weighted_is_equilibrium, weighted_player_cost,
-    Demands,
-};
+pub use weighted::{weighted_is_equilibrium, Demands};

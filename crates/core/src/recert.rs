@@ -42,9 +42,9 @@
 //! sweeping eagerly, so its cost is spread over the next queries.
 //!
 //! **What the margins soundly certify.** Lemma 2 is a *global*
-//! equilibrium criterion: "no ordered non-tree adjacency constraint is
+//! equilibrium condition: "no ordered non-tree adjacency constraint is
 //! violated" ⇔ "no player can strictly improve". It is **not** a
-//! per-player criterion — a player with clean incident margins can still
+//! per-player condition — a player with clean incident margins can still
 //! improve through a route that enters the tree via *another* node's
 //! non-tree adjacency (multi-pivot or descend-first deviations), so
 //! skipping an individual player's probe on her own margins would change
@@ -737,7 +737,7 @@ mod tests {
         // The engine-facing global certificate: whenever the maintained
         // view is live, its equilibrium answer must agree with the exact
         // per-player checker after every move attempt (Lemma 2 is a
-        // global criterion — this, not per-player margin skipping, is the
+        // global condition — this, not per-player margin skipping, is the
         // sound way to consume the margins; a single player's clean
         // margins do not certify that she cannot improve).
         let mut rng = StdRng::seed_from_u64(1301);

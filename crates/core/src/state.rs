@@ -119,6 +119,11 @@ impl State {
         self.paths.len()
     }
 
+    /// Number of edges of the game's graph.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.usage.len()
+    }
+
     /// Established edges (usage ≥ 1), sorted by id.
     pub fn established_edges(&self) -> Vec<EdgeId> {
         self.usage

@@ -5,8 +5,9 @@
 //! where `D_a(T)` is the total demand on `a`. Unweighted games are the
 //! `dᵢ ≡ 1` special case. Unlike the unweighted game, proportional-share
 //! weighted games need not admit an exact potential, so this module
-//! provides only what remains sound: exact cost evaluation, best responses
-//! (Dijkstra on proportional deviation weights) and Nash verification.
+//! provides only what remains sound: Nash verification, which compares
+//! each player's exact cost with her best response (Dijkstra on
+//! proportional deviation weights) over loads summed once per call.
 //! Enforcement stays an LP — see `ndg-sne::lp_weighted`.
 
 use crate::game::NetworkDesignGame;
@@ -46,20 +47,26 @@ impl Demands {
         self.d[i]
     }
 
-    /// Total demand `D_a(T)` on edge `e` in `state`.
-    pub fn load(&self, state: &State, e: EdgeId) -> f64 {
-        (0..state.num_players())
-            .filter(|&i| state.uses(i, e))
-            .map(|i| self.d[i])
-            .sum()
+    /// Total demand `D_a(T)` on every edge in `state`, indexed by edge id
+    /// and summed in player order.
+    pub fn loads(&self, state: &State) -> Vec<f64> {
+        let mut loads = vec![0.0; state.edge_count()];
+        for i in 0..state.num_players() {
+            for &e in state.path(i) {
+                loads[e.index()] += self.d[i];
+            }
+        }
+        loads
     }
 }
 
-/// `cost_i(T; b)` under proportional sharing.
-pub fn weighted_player_cost(
+/// `cost_i(T; b)` under proportional sharing; `loads` is
+/// [`Demands::loads`] of `state`.
+fn weighted_player_cost(
     game: &NetworkDesignGame,
     state: &State,
     demands: &Demands,
+    loads: &[f64],
     b: &SubsidyAssignment,
     i: usize,
 ) -> f64 {
@@ -67,51 +74,43 @@ pub fn weighted_player_cost(
     state
         .path(i)
         .iter()
-        .map(|&e| b.residual(g, e) * demands.of(i) / demands.load(state, e))
+        .map(|&e| b.residual(g, e) * demands.of(i) / loads[e.index()])
         .sum()
 }
 
-/// Deviation cost of player `i` moving to `alt_path`: on each edge the
-/// load becomes `D_a(T) + dᵢ·(1 − n_a^i(T))`.
-pub fn weighted_deviation_cost(
+/// The weight of edge `e` for player `i`'s deviation: its residual share
+/// once the load becomes `D_a(T) + dᵢ·(1 − n_a^i(T))`.
+fn deviation_weight(
     game: &NetworkDesignGame,
     state: &State,
     demands: &Demands,
+    loads: &[f64],
     b: &SubsidyAssignment,
     i: usize,
-    alt_path: &[EdgeId],
+    e: EdgeId,
+) -> f64 {
+    let d_i = demands.of(i);
+    let load = loads[e.index()] + if state.uses(i, e) { 0.0 } else { d_i };
+    b.residual(game.graph(), e) * d_i / load
+}
+
+/// Cost of player `i`'s best response under proportional sharing, summed
+/// along the best path.
+fn weighted_best_response(
+    game: &NetworkDesignGame,
+    state: &State,
+    demands: &Demands,
+    loads: &[f64],
+    b: &SubsidyAssignment,
+    i: usize,
 ) -> f64 {
     let g = game.graph();
-    let d_i = demands.of(i);
-    alt_path
-        .iter()
-        .map(|&e| {
-            let load = demands.load(state, e) + if state.uses(i, e) { 0.0 } else { d_i };
-            b.residual(g, e) * d_i / load
-        })
-        .sum()
-}
-
-/// Best response of player `i` under proportional sharing.
-pub fn weighted_best_response(
-    game: &NetworkDesignGame,
-    state: &State,
-    demands: &Demands,
-    b: &SubsidyAssignment,
-    i: usize,
-) -> (Vec<EdgeId>, f64) {
-    let g = game.graph();
     let player = game.players()[i];
-    let d_i = demands.of(i);
-    let sp = dijkstra_with(g, player.source, |e| {
-        let load = demands.load(state, e) + if state.uses(i, e) { 0.0 } else { d_i };
-        b.residual(g, e) * d_i / load
-    });
-    let path = sp
+    let weight = |e| deviation_weight(game, state, demands, loads, b, i, e);
+    let path = dijkstra_with(g, player.source, weight)
         .path_to(g, player.terminal)
         .expect("game validation guarantees a connecting path");
-    let cost = weighted_deviation_cost(game, state, demands, b, i, &path);
-    (path, cost)
+    path.iter().map(|&e| weight(e)).sum()
 }
 
 /// Whether `state` is a Nash equilibrium of the weighted extension.
@@ -121,9 +120,10 @@ pub fn weighted_is_equilibrium(
     demands: &Demands,
     b: &SubsidyAssignment,
 ) -> bool {
+    let loads = demands.loads(state);
     (0..game.num_players()).all(|i| {
-        let current = weighted_player_cost(game, state, demands, b, i);
-        let (_, best) = weighted_best_response(game, state, demands, b, i);
+        let current = weighted_player_cost(game, state, demands, &loads, b, i);
+        let best = weighted_best_response(game, state, demands, &loads, b, i);
         !strictly_lt(best, current)
     })
 }
@@ -158,9 +158,10 @@ mod tests {
             let tree = kruskal(game.graph()).unwrap();
             let (state, _) = State::from_tree(&game, &tree).unwrap();
             let d = Demands::uniform(&game);
+            let loads = d.loads(&state);
             let b = SubsidyAssignment::zero(game.graph());
             for i in 0..game.num_players() {
-                let wc = weighted_player_cost(&game, &state, &d, &b, i);
+                let wc = weighted_player_cost(&game, &state, &d, &loads, &b, i);
                 let uc = player_cost(&game, &state, &b, i);
                 assert!((wc - uc).abs() < 1e-9, "player {i}: {wc} vs {uc}");
             }
@@ -187,8 +188,9 @@ mod tests {
         )
         .unwrap();
         let b = SubsidyAssignment::zero(game.graph());
+        let loads = d.loads(&state);
         let total: f64 = (0..game.num_players())
-            .map(|i| weighted_player_cost(&game, &state, &d, &b, i))
+            .map(|i| weighted_player_cost(&game, &state, &d, &loads, &b, i))
             .sum();
         assert!((total - state.weight(game.graph())).abs() < 1e-9);
     }
@@ -231,69 +233,153 @@ mod tests {
         )
         .unwrap();
         let b = SubsidyAssignment::zero(game.graph());
+        let loads = d.loads(&state);
         for i in 0..game.num_players() {
-            let (_, br) = weighted_best_response(&game, &state, &d, &b, i);
+            let br = weighted_best_response(&game, &state, &d, &loads, &b, i);
             // DFS over all simple paths.
-            let brute = brute_best(&game, &state, &d, &b, i);
+            let cost = |path: &[EdgeId]| -> f64 {
+                (path.iter())
+                    .map(|&e| deviation_weight(&game, &state, &d, &loads, &b, i, e))
+                    .sum()
+            };
+            let p = game.players()[i];
+            let brute = brute_best(game.graph(), p.source, p.terminal, &cost);
             assert!((br - brute).abs() < 1e-9, "player {i}: {br} vs {brute}");
         }
     }
 
+    /// The cheapest simple `source → target` path under `cost`, by DFS.
     fn brute_best(
-        game: &NetworkDesignGame,
-        state: &State,
-        d: &Demands,
-        b: &SubsidyAssignment,
-        i: usize,
+        g: &ndg_graph::Graph,
+        source: NodeId,
+        target: NodeId,
+        cost: &dyn Fn(&[EdgeId]) -> f64,
     ) -> f64 {
-        let g = game.graph();
-        let p = game.players()[i];
         let mut best = f64::INFINITY;
         let mut visited = vec![false; g.node_count()];
-        let mut path = Vec::new();
         dfs(
             g,
-            game,
-            state,
-            d,
-            b,
-            i,
-            p.source,
-            p.terminal,
+            source,
+            target,
+            cost,
             &mut visited,
-            &mut path,
+            &mut Vec::new(),
             &mut best,
         );
         return best;
 
-        #[allow(clippy::too_many_arguments)]
         fn dfs(
             g: &ndg_graph::Graph,
-            game: &NetworkDesignGame,
-            state: &State,
-            d: &Demands,
-            b: &SubsidyAssignment,
-            i: usize,
             cur: NodeId,
             target: NodeId,
+            cost: &dyn Fn(&[EdgeId]) -> f64,
             visited: &mut Vec<bool>,
             path: &mut Vec<EdgeId>,
             best: &mut f64,
         ) {
             if cur == target {
-                let c = weighted_deviation_cost(game, state, d, b, i, path);
-                *best = best.min(c);
+                *best = best.min(cost(path));
                 return;
             }
             visited[cur.index()] = true;
             for &(nb, e) in g.neighbors(cur) {
                 if !visited[nb.index()] {
                     path.push(e);
-                    dfs(g, game, state, d, b, i, nb, target, visited, path, best);
+                    dfs(g, nb, target, cost, visited, path, best);
                     path.pop();
                 }
             }
             visited[cur.index()] = false;
+        }
+    }
+
+    /// Seeded general (non-broadcast) games at a random spanning-tree
+    /// state, each under random partial subsidies: on some instances no
+    /// edge is subsidized, on others every edge fully.
+    fn general_cases(seed: u64) -> Vec<(NetworkDesignGame, State, SubsidyAssignment)> {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..60)
+            .map(|case| {
+                let n = rng.random_range(4..10usize);
+                let g = generators::random_connected(n, 0.5, &mut rng, 0.3..3.0);
+                let players: Vec<_> = (0..rng.random_range(2..7))
+                    .map(|_| {
+                        let s = rng.random_range(0..n as u32);
+                        let t = (s + rng.random_range(1..n as u32)) % n as u32;
+                        crate::game::Player {
+                            source: NodeId(s),
+                            terminal: NodeId(t),
+                        }
+                    })
+                    .collect();
+                let mut order: Vec<EdgeId> = g.edge_ids().collect();
+                order.shuffle(&mut rng);
+                let mut uf = ndg_graph::UnionFind::new(n);
+                let tree: Vec<EdgeId> = (order.into_iter())
+                    .filter(|&e| {
+                        let (u, v) = g.endpoints(e);
+                        uf.union(u.index(), v.index())
+                    })
+                    .collect();
+                let share = [0.0, 0.3, 0.7, 1.0][case % 4];
+                let mut b = SubsidyAssignment::zero(&g);
+                for e in g.edge_ids() {
+                    if rng.random_bool(share) {
+                        let w = g.weight(e);
+                        let v = if share == 1.0 {
+                            w
+                        } else {
+                            rng.random_range(0.0..=w)
+                        };
+                        b.set(&g, e, v);
+                    }
+                }
+                let game = NetworkDesignGame::new(g, players).unwrap();
+                let (state, _) = State::from_tree(&game, &tree).unwrap();
+                (game, state, b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn uniform_gate_matches_is_equilibrium_on_general_games() {
+        let mut verdicts = [0usize; 2];
+        for (game, state, b) in general_cases(407) {
+            let d = Demands::uniform(&game);
+            let exact = equilibrium::is_equilibrium(&game, &state, &b);
+            assert_eq!(weighted_is_equilibrium(&game, &state, &d, &b), exact);
+            verdicts[usize::from(exact)] += 1;
+        }
+        assert!(
+            verdicts.iter().all(|&k| k >= 5),
+            "both verdicts must occur: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn loads_equal_a_player_order_sum_per_edge() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(408);
+        for (game, state, _) in general_cases(407) {
+            let k = game.num_players();
+            let random = (0..k).map(|_| rng.random_range(0.2..5.0)).collect();
+            for d in [
+                Demands::uniform(&game),
+                Demands::new(&game, random).unwrap(),
+            ] {
+                let loads = d.loads(&state);
+                assert_eq!(loads.len(), game.graph().edge_count());
+                for e in game.graph().edge_ids() {
+                    let mut sum = 0.0;
+                    for i in 0..k {
+                        if state.uses(i, e) {
+                            sum += d.of(i);
+                        }
+                    }
+                    assert_eq!(loads[e.index()].to_bits(), sum.to_bits(), "edge {e:?}");
+                }
+            }
         }
     }
 }

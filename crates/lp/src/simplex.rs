@@ -3,8 +3,9 @@
 //! Scope: the subsidy LPs have at most a few thousand rows/columns, so a
 //! dense tableau with Dantzig pricing (Bland's rule fallback for
 //! anti-cycling) is both simple and ample. The paper invokes the ellipsoid
-//! method purely as a polynomiality certificate; any exact LP oracle yields
-//! the identical optima (see DESIGN.md, substitution table).
+//! method purely as a polynomiality certificate: its LPs have the same
+//! optima under any exact LP oracle, so the simplex substitutes for it
+//! without changing an answer.
 //!
 //! Model handled: minimize `cᵀx`, rows `≤ / ≥ / =`, box bounds
 //! `lo ≤ x ≤ hi`. Bounds are normalized by shifting to `y = x − lo ≥ 0`;

@@ -1,8 +1,10 @@
 //! LP solution records and re-verification.
 //!
-//! DESIGN.md's numeric conventions require every accepted LP solution to be
-//! re-verified against the original constraints (the simplex tableau can
-//! drift); `verify` implements that final gate.
+//! The simplex tableau can drift under floating point, so no LP answer is
+//! trusted unchecked: `verify` re-checks a solution against the original
+//! constraints (LP (2) asserts it in debug builds), and every enforcement
+//! entry point in `ndg-sne` re-checks its subsidies with an exact
+//! equilibrium gate before answering.
 
 use crate::problem::LinearProgram;
 

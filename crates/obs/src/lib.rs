@@ -53,7 +53,7 @@ pub fn install() {
     INSTALLED.store(true, Ordering::SeqCst);
 }
 
-/// Turn the registry back off. Exists for benches that need to measure
+/// Turn the registry back off. Exists for experiments that measure
 /// instrumented-vs-uninstrumented overhead in one process; production
 /// code never calls this. Already-registered metrics keep their values
 /// (and stay listed) — only *recording* stops.

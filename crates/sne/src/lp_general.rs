@@ -166,13 +166,7 @@ pub(crate) fn cutting_plane_subsidies(
         let v = lp.add_var(1.0, 0.0, g.weight(e))?;
         var_of.insert(e, v);
     }
-    let mut loads = vec![0.0; g.edge_count()];
-    for i in 0..state.num_players() {
-        for &e in state.path(i) {
-            loads[e.index()] += demands.of(i);
-        }
-    }
-
+    let loads = demands.loads(state);
     let pool = WorkspacePool::new(g.node_count());
     let mut oracle = ShortestPathSeparator {
         game,

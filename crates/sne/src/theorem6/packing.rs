@@ -6,8 +6,8 @@
 //! only reduces the player's cost by `1/u`, so low-usage (far-from-root)
 //! edges give the most cost reduction per subsidy unit. This module
 //! implements that packing plus two deliberately worse strategies
-//! (most-crowded packing, uniform spreading) that the A1 ablation bench
-//! compares.
+//! (most-crowded packing, uniform spreading) that the A1 ablation
+//! (`exp_a1`) compares.
 
 /// How to distribute subsidies along a path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
