@@ -15,6 +15,8 @@
 //! 3. **Trivial-group fast path**: on an asymmetric random instance the
 //!    orbit driver stays within 10% (+2 ms timer slack) of the unpruned
 //!    sweep — group discovery degrades to a cheap trivial-group probe.
+//!    The two arms are timed alternately, best of 5 each, so host noise
+//!    lands on both.
 //!
 //! Results are spliced into `BENCH_dynamics.json` under `"e15_orbit"`
 //! (preserving the pinned e10/e13 body). 1-core container: the per-tree
@@ -40,16 +42,28 @@ fn broadcast(g: ndg_graph::Graph) -> NetworkDesignGame {
     NetworkDesignGame::broadcast(g, NodeId(0)).expect("connected family")
 }
 
-/// Best-of-3 wall clock in milliseconds.
-fn time_ms(mut f: impl FnMut() -> f64) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    let mut value = 0.0;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        value = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+/// Timed runs per arm.
+const RUNS: usize = 5;
+
+/// Best-of-[`RUNS`] wall clocks in milliseconds of two arms, timed
+/// alternately run by run (a, b, a, b, …) so a burst of host noise lands
+/// on both arms rather than on one. Returns each arm's value and time.
+fn time_pair_ms(
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> ((f64, f64), (f64, f64)) {
+    let mut arms = [(0.0, f64::INFINITY); 2];
+    for _ in 0..RUNS {
+        for (arm, f) in arms
+            .iter_mut()
+            .zip([&mut a as &mut dyn FnMut() -> f64, &mut b])
+        {
+            let t0 = Instant::now();
+            arm.0 = f();
+            arm.1 = arm.1.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
-    (value, best)
+    (arms[0], arms[1])
 }
 
 struct FamilyResult {
@@ -111,9 +125,10 @@ fn main() {
             "{id}: orbit sizes must sum to the tree count"
         );
 
-        let (plain, unpruned_ms) = time_ms(|| unpruned_pos(&game, CAP));
-        let (orbit, orbit_ms) =
-            time_ms(|| exact_pos_budgeted(&game, CAP, &Budget::unlimited()).expect("has PoS"));
+        let ((plain, unpruned_ms), (orbit, orbit_ms)) = time_pair_ms(
+            || unpruned_pos(&game, CAP),
+            || exact_pos_budgeted(&game, CAP, &Budget::unlimited()).expect("has PoS"),
+        );
         assert_eq!(
             plain.to_bits(),
             orbit.to_bits(),
@@ -179,8 +194,9 @@ fn main() {
             "    \"note\": \"Orbit-pruned exact PoS vs the unpruned spanning-tree sweep: \
              one Lemma-2 scan per tree orbit under the root-fixing automorphism group \
              (ndg-canon generators, EdgeGroup closure), bit-identical results asserted on \
-             every family. trees/orbits are exact scan counts; wall clocks are best-of-3 \
-             on a 1-core container and include group discovery in orbit_ms.\",\n",
+             every family. trees/orbits are exact scan counts; wall clocks are best-of-5, \
+             the two arms timed alternately, on a 1-core container and include group \
+             discovery in orbit_ms.\",\n",
         );
         s.push_str("    \"families\": [\n");
         for (i, r) in results.iter().enumerate() {

@@ -149,6 +149,16 @@ pub fn splice_bench_section(text: &str, key: &str, value: &str) -> String {
     format!("{head}{sep}\n  {entry}\n{}", &text[close..])
 }
 
+/// The value of the top-level entry `"key": value` of the JSON object
+/// `text`, as written (an object, array, string or number), if it has
+/// one. Nest calls to read a field of a section: the `p50_us` of
+/// `"latency"` is `bench_entry(bench_entry(text, "latency")?, "p50_us")`.
+pub fn bench_entry<'t>(text: &'t str, key: &str) -> Option<&'t str> {
+    let span = entry_span(text, key)?;
+    let entry = &text[span.start + key.len() + 2..span.end];
+    Some(entry.trim_start().strip_prefix(':')?.trim())
+}
+
 /// The byte span of the top-level entry `"key": value` of the JSON object
 /// `text`, if it has one.
 fn entry_span(text: &str, key: &str) -> Option<std::ops::Range<usize>> {
@@ -214,7 +224,7 @@ pub fn unpruned_pos(game: &NetworkDesignGame, cap: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::splice_bench_section;
+    use super::{bench_entry, splice_bench_section};
 
     const BODY: &str = "{\n  \"group\": \"e12\",\n  \"benchmarks\": [\n    { \"id\": \"x\" }\n  ]";
 
@@ -263,5 +273,24 @@ mod tests {
             rows,
             format!("{BODY},\n  {e14},\n  {e16},\n  \"rows\": 0\n}}\n")
         );
+    }
+
+    #[test]
+    fn entries_are_read_inside_their_own_section() {
+        // `exp_e14` ran first: its section, with its own `cache_hit_rate`
+        // rows, precedes e12's entries.
+        let file = "{\n  \"e14_canon\": {\n    \"benchmarks\": [\n      \
+                    { \"id\": \"w\", \"cache_hit_rate\": 0.979, \"p50_us\": 1.5 }\n    ]\n  },\n  \
+                    \"latency\": { \"p50_us\": 22.5, \"p99_us\": 740.4, \"cache_hit_rate\": 0.755 },\n  \
+                    \"e12_chaos\": { \"fault_rate\": 0.15, \"survived\": true }\n}\n";
+        let field = |section: &str, key: &str| bench_entry(bench_entry(file, section)?, key);
+        assert_eq!(field("latency", "cache_hit_rate"), Some("0.755"));
+        assert_eq!(field("latency", "p50_us"), Some("22.5"));
+        assert_eq!(field("latency", "p99_us"), Some("740.4"));
+        assert_eq!(field("e12_chaos", "survived"), Some("true"));
+        // Nested-only and absent keys are not entries.
+        assert_eq!(bench_entry(file, "cache_hit_rate"), None);
+        assert_eq!(field("obs_overhead", "warm_replay_ms_on"), None);
+        assert_eq!(field("e12_chaos", "wall_ms"), None);
     }
 }

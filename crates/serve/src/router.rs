@@ -17,10 +17,11 @@
 
 use crate::cache::{Cache, CacheStats};
 use crate::codec::{
-    err_line, fmt_edge_ids, fmt_f64, ok_line, Method, Request, Solver, WireError, DEFAULT_CAP,
-    DEFAULT_LIMIT, DEFAULT_ROUNDS,
+    err_line, fmt_edge_ids, fmt_f64, ok_line, DeltaOp, Method, Request, Solver, WireError,
+    DEFAULT_CAP, DEFAULT_LIMIT, DEFAULT_ROUNDS,
 };
 use crate::server::ConnStats;
+use crate::session::{apply_delta, state_paths, Session, View};
 use ndg_core::{best_response_dynamics_budgeted, best_response_with, NetworkDesignGame, State};
 use ndg_exec::{Budget, Executor};
 use ndg_graph::paths::{DijkstraWorkspace, WorkspacePool};
@@ -28,7 +29,7 @@ use ndg_graph::{EdgeId, Graph, RootedTree};
 use ndg_obs::{Clock, MonoClock};
 use ndg_sne::{SneError, SneSolution};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Serving-layer metrics (no-ops until [`ndg_obs::install`]): request
@@ -1089,14 +1090,13 @@ impl Router {
             }
         };
         laps.lap(STAGE_SOLVE);
-        let converged = crate::session::state_paths(&state);
-        let sid = self.sessions.open(crate::session::Session {
+        let sid = self.sessions.open(Session {
             base: synth.clone(),
             journal: Vec::new(),
-            view: crate::session::View {
+            view: View {
                 req: synth,
                 payload: payload.clone(),
-                converged,
+                converged: state_paths(&state),
             },
             dirty: false,
         })?;
@@ -1107,11 +1107,11 @@ impl Router {
         Ok((payload, session_header(&sid, 0, false)))
     }
 
-    /// `method=delta`: journal the op (write-ahead), apply it to clones,
-    /// solve warm from the carried converged state, and commit the new
-    /// view atomically. Any panic degrades to a journal replay from the
-    /// pinned base; every `--audit-every`th committed delta is
-    /// divergence-audited against that same cold replay.
+    /// `method=delta`: journal the op (write-ahead), [`step`](Self::step)
+    /// the committed view through it, and commit the new view atomically.
+    /// A panic degrades to a [`replay`](Self::replay) of the journal
+    /// through the op; every `--audit-every`th committed delta is
+    /// divergence-audited against that same replay.
     fn session_delta(
         &self,
         req: &Request,
@@ -1126,12 +1126,12 @@ impl Router {
         let got = req.epoch.ok_or(WireError::MissingField("epoch"))?;
         let sess = self.sessions.get(sid)?;
         let mut s = lock_session(&sess);
-        let mut resynced = false;
-        if s.dirty {
+        let mut resynced = s.dirty;
+        if resynced {
             // A torn earlier holder: rebuild the committed view from the
             // journal before trusting anything in it.
-            self.recover(&mut s)?;
-            resynced = true;
+            let replayed = self.replay(&s);
+            s = self.commit(s, sid, replayed)?;
         }
         let want = s.epoch();
         if got != want {
@@ -1140,122 +1140,76 @@ impl Router {
         // Write-ahead: the op is journaled before it is applied, so the
         // panic path below replays *through* it.
         s.journal.push(op);
+        laps.lap(STAGE_DELTA);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(hook) = &self.fault_hook {
                 hook(req);
             }
             budget.check().map_err(|_| WireError::Deadline)?;
-            let mut game = s.view.req.game.clone().ok_or_else(corrupt_view)?;
-            let mut paths = s.view.converged.clone();
-            let mut b = s.view.req.subsidy.clone();
-            crate::session::apply_delta(op, &mut game, &mut paths, &mut b)?;
-            laps.lap(STAGE_DELTA);
-            let synth = synth_dynamics(&req.id, game, paths, b, &s.view.req);
-            let (payload, state) = self.dynamics_full(&synth, budget)?;
-            Ok(crate::session::View {
-                converged: crate::session::state_paths(&state),
-                req: synth,
-                payload,
-            })
+            self.step(&s.view, op, budget)
         }));
-        match outcome {
+        let audit = match outcome {
             Ok(Ok(view)) => {
                 s.view = view;
-                s.dirty = false;
-                laps.lap(STAGE_SOLVE);
-                self.sessions.note_delta();
-                let epoch = s.epoch();
                 let every = self.sessions.config().audit_every;
-                if every > 0 && epoch.is_multiple_of(every) {
-                    match self.replay_journal(&s.base, &s.journal) {
-                        Ok(cold) => {
-                            let failed = cold.payload != s.view.payload
-                                || cold.converged != s.view.converged;
-                            self.sessions.note_audit(failed);
-                            if failed {
-                                ndg_obs::events::emit(
-                                    "session",
-                                    vec![
-                                        ("op", "audit_failed".to_string()),
-                                        ("sid", sid.to_string()),
-                                    ],
-                                );
-                                ndg_obs::events::dump_current("divergence audit failed");
-                                // Hard-fail into resync: the cold replay
-                                // is the specification, so it wins.
-                                s.view = cold;
-                                self.sessions.note_resync();
-                                resynced = true;
-                            }
-                        }
-                        Err(_) => {
-                            // The journal no longer replays: neither view
-                            // can be trusted. Retire the session so the
-                            // client reopens deterministically.
-                            drop(s);
-                            let _ = self.sessions.retire(sid);
-                            return Err(WireError::Engine {
-                                code: "internal",
-                                msg: "session journal replay failed; session retired".into(),
-                            });
-                        }
-                    }
-                }
-                Ok((s.view.payload.clone(), session_header(sid, epoch, resynced)))
+                every > 0 && s.epoch().is_multiple_of(every)
             }
             Ok(Err(e)) => {
                 // The op itself failed (validation or deadline): that
                 // error is the deterministic answer. Roll the write-ahead
                 // entry back — the epoch is unchanged.
                 s.journal.pop();
-                Err(e)
+                return Err(e);
             }
             Err(_) => {
                 // Panic mid-delta (injected or real): discard the
-                // incremental attempt and replay the journal from the
-                // pinned base, through the journaled op.
-                self.conn_stats.panics.fetch_add(1, Ordering::Relaxed);
-                ndg_obs::events::emit(
-                    "session",
-                    vec![("op", "panic".to_string()), ("sid", sid.to_string())],
-                );
-                ndg_obs::events::dump_current("session delta panicked");
-                match self.replay_journal(&s.base, &s.journal) {
-                    Ok(view) => {
-                        s.view = view;
-                        s.dirty = false;
-                        laps.lap(STAGE_SOLVE);
-                        self.sessions.note_delta();
-                        self.sessions.note_resync();
+                // incremental attempt and replay through the journaled op.
+                self.session_panicked(sid, "session delta panicked");
+                let replayed = self.replay(&s);
+                if let Err(Some(e)) = replayed {
+                    // The journaled op is itself invalid; its error is
+                    // the answer, entry rolled back.
+                    s.journal.pop();
+                    return Err(e);
+                }
+                s = self.commit(s, sid, replayed)?;
+                resynced = true;
+                false
+            }
+        };
+        laps.lap(STAGE_SOLVE);
+        self.sessions.note_delta();
+        if audit {
+            match self.replay(&s) {
+                Ok(cold)
+                    if cold.payload == s.view.payload && cold.converged == s.view.converged =>
+                {
+                    self.sessions.note_audit(false);
+                }
+                replayed => {
+                    if replayed.is_ok() {
+                        self.sessions.note_audit(true);
                         ndg_obs::events::emit(
                             "session",
-                            vec![("op", "resync".to_string()), ("sid", sid.to_string())],
+                            vec![("op", "audit_failed".to_string()), ("sid", sid.to_string())],
                         );
-                        Ok((s.view.payload.clone(), session_header(sid, s.epoch(), true)))
+                        ndg_obs::events::dump_current("divergence audit failed");
                     }
-                    Err(ReplayError::Step { last: true, err }) => {
-                        // The journaled op is itself invalid; its error is
-                        // the answer, entry rolled back.
-                        s.journal.pop();
-                        Err(err)
-                    }
-                    Err(_) => {
-                        s.journal.pop();
-                        drop(s);
-                        let _ = self.sessions.retire(sid);
-                        Err(WireError::Engine {
-                            code: "internal",
-                            msg: "session journal replay failed; session retired".into(),
-                        })
-                    }
+                    // The replay is the specification, so it wins.
+                    s = self.commit(s, sid, replayed)?;
+                    resynced = true;
                 }
             }
         }
+        Ok((
+            s.view.payload.clone(),
+            session_header(sid, s.epoch(), resynced),
+        ))
     }
 
-    /// `method=resync`: client-requested recovery — discard the
-    /// incremental view, replay the journal from the pinned base, and
-    /// serve the reconstructed answer (`resynced=1`, epoch unchanged).
+    /// `method=resync`: client-requested recovery — replace the
+    /// incremental view with a [`replay`](Self::replay) of the journal and
+    /// serve it (`resynced=1`, epoch unchanged).
     fn session_resync(
         &self,
         req: &Request,
@@ -1273,33 +1227,14 @@ impl Router {
             }
         }));
         if hooked.is_err() {
-            self.conn_stats.panics.fetch_add(1, Ordering::Relaxed);
+            self.session_panicked(sid, "session resync panicked");
             s.dirty = true; // recover on the next operation
             return Err(engine_panicked());
         }
-        match self.replay_journal(&s.base, &s.journal) {
-            Ok(view) => {
-                s.view = view;
-                s.dirty = false;
-                laps.lap(STAGE_SOLVE);
-                self.sessions.note_resync();
-                ndg_obs::events::emit(
-                    "session",
-                    vec![("op", "resync".to_string()), ("sid", sid.to_string())],
-                );
-                Ok((s.view.payload.clone(), session_header(sid, s.epoch(), true)))
-            }
-            Err(_) => {
-                // Every journaled op committed once; failing to replay
-                // now means the journal itself is broken.
-                drop(s);
-                let _ = self.sessions.retire(sid);
-                Err(WireError::Engine {
-                    code: "internal",
-                    msg: "session journal replay failed; session retired".into(),
-                })
-            }
-        }
+        let replayed = self.replay(&s);
+        let s = self.commit(s, sid, replayed)?;
+        laps.lap(STAGE_SOLVE);
+        Ok((s.view.payload.clone(), session_header(sid, s.epoch(), true)))
     }
 
     /// `method=close`: retire the session; its id answers
@@ -1326,77 +1261,94 @@ impl Router {
         ))
     }
 
-    /// Replay a session's write-ahead journal from its pinned base:
-    /// re-solve the base, then re-apply and re-solve every journaled
-    /// delta in order. Deterministic — it repeats exactly the warm
-    /// path's apply/solve calls — and deliberately budget-free: recovery
-    /// and audits must not be starved by a client deadline.
-    fn replay_journal(
-        &self,
-        base: &Request,
-        journal: &[crate::codec::DeltaOp],
-    ) -> Result<crate::session::View, ReplayError> {
+    /// One warm session step: apply `op` to clones of `view`'s instance,
+    /// then solve the patched literal `dynamics` request from `view`'s
+    /// converged paths. Live deltas and [`replay`](Self::replay) both run
+    /// exactly this, so a replay repeats the live path's calls.
+    fn step(&self, view: &View, op: DeltaOp, budget: &Budget) -> Result<View, WireError> {
+        let mut game = view.req.game.clone().ok_or_else(corrupt_view)?;
+        let mut paths = view.converged.clone();
+        let mut subsidy = view.req.subsidy.clone();
+        apply_delta(op, &mut game, &mut paths, &mut subsidy)?;
+        let mut req = Request::new(view.req.id.clone(), Method::Dynamics);
+        req.game = Some(game);
+        req.state = Some(paths);
+        req.subsidy = subsidy;
+        req.order = view.req.order;
+        req.rounds = view.req.rounds;
+        req.canon = false;
+        let (payload, state) = self.dynamics_full(&req, budget)?;
+        Ok(View {
+            converged: state_paths(&state),
+            req,
+            payload,
+        })
+    }
+
+    /// Derive a session's view from its journal: the pinned base's cold
+    /// solve, then one [`step`](Self::step) per journaled op. Deterministic,
+    /// budget-free (recovery and audits must not be starved by a client
+    /// deadline) and panic-isolated. `Err(Some(e))` means the newest op
+    /// failed with `e`; `Err(None)` means the base, an older op or a panic.
+    fn replay(&self, s: &Session) -> Result<View, Option<WireError>> {
         let unlimited = Budget::unlimited();
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (payload, state) =
-                self.dynamics_full(base, &unlimited)
-                    .map_err(|err| ReplayError::Step {
-                        last: journal.is_empty(),
-                        err,
-                    })?;
-            let mut view = crate::session::View {
-                req: base.clone(),
+            let (payload, state) = self.dynamics_full(&s.base, &unlimited).map_err(|_| None)?;
+            let mut view = View {
+                req: s.base.clone(),
                 payload,
-                converged: crate::session::state_paths(&state),
+                converged: state_paths(&state),
             };
-            for (i, &op) in journal.iter().enumerate() {
-                let last = i + 1 == journal.len();
-                let fail = |err| ReplayError::Step { last, err };
-                let mut game = view.req.game.clone().ok_or_else(|| fail(corrupt_view()))?;
-                let mut paths = view.converged.clone();
-                let mut b = view.req.subsidy.clone();
-                crate::session::apply_delta(op, &mut game, &mut paths, &mut b).map_err(fail)?;
-                let synth = synth_dynamics(&base.id, game, paths, b, &view.req);
-                let (payload, state) = self.dynamics_full(&synth, &unlimited).map_err(fail)?;
-                view = crate::session::View {
-                    converged: crate::session::state_paths(&state),
-                    req: synth,
-                    payload,
-                };
+            for (i, &op) in s.journal.iter().enumerate() {
+                let newest = i + 1 == s.journal.len();
+                view = self
+                    .step(&view, op, &unlimited)
+                    .map_err(|e| newest.then_some(e))?;
             }
             Ok(view)
         }));
-        replayed.unwrap_or(Err(ReplayError::Panicked))
+        replayed.unwrap_or(Err(None))
     }
 
-    /// Rebuild a dirty session's committed view from its journal
-    /// (poisoned-lock recovery).
-    fn recover(&self, s: &mut crate::session::Session) -> Result<(), WireError> {
-        match self.replay_journal(&s.base, &s.journal) {
-            Ok(view) => {
-                s.view = view;
-                s.dirty = false;
-                self.sessions.note_resync();
-                Ok(())
-            }
-            Err(ReplayError::Step { err, .. }) => Err(err),
-            Err(ReplayError::Panicked) => Err(engine_panicked()),
-        }
+    /// Commit a [`replay`](Self::replay): install its view, clear `dirty`,
+    /// count one resync and emit one `session`/`resync` event. A journal
+    /// that no longer replays retires the session instead: `code=internal`
+    /// now, `session_expired` from then on. The guard is released before
+    /// retiring (lock order is table → session).
+    fn commit<'s>(
+        &self,
+        mut s: MutexGuard<'s, Session>,
+        sid: &str,
+        replayed: Result<View, Option<WireError>>,
+    ) -> Result<MutexGuard<'s, Session>, WireError> {
+        let Ok(view) = replayed else {
+            drop(s);
+            let _ = self.sessions.retire(sid);
+            return Err(WireError::Engine {
+                code: "internal",
+                msg: "session journal replay failed; session retired".into(),
+            });
+        };
+        s.view = view;
+        s.dirty = false;
+        self.sessions.note_resync();
+        ndg_obs::events::emit(
+            "session",
+            vec![("op", "resync".to_string()), ("sid", sid.to_string())],
+        );
+        Ok(s)
     }
-}
 
-/// Why a journal replay stopped: a structured error at some step (`last`
-/// marks the most recently journaled op) or a panic inside the replay.
-enum ReplayError {
-    /// A step's apply/solve returned a structured error.
-    Step {
-        /// Whether the failing step is the newest (write-ahead) entry.
-        last: bool,
-        /// The step's error.
-        err: WireError,
-    },
-    /// The replay itself panicked.
-    Panicked,
+    /// Count one isolated session panic in `panics`, with its
+    /// `session`/`panic` event and a fault dump.
+    fn session_panicked(&self, sid: &str, reason: &str) {
+        self.conn_stats.panics.fetch_add(1, Ordering::Relaxed);
+        ndg_obs::events::emit(
+            "session",
+            vec![("op", "panic".to_string()), ("sid", sid.to_string())],
+        );
+        ndg_obs::events::dump_current(reason);
+    }
 }
 
 /// The volatile session response header (spliced after `id=`).
@@ -1408,31 +1360,9 @@ fn session_header(sid: &str, epoch: u64, resynced: bool) -> String {
     h
 }
 
-/// The literal `dynamics` request for a patched session instance,
-/// carrying the session's pinned order/rounds and the post-delta warm
-/// state.
-fn synth_dynamics(
-    id: &str,
-    game: crate::codec::WireGame,
-    paths: Vec<Vec<EdgeId>>,
-    b: Option<Vec<f64>>,
-    prev: &Request,
-) -> Request {
-    let mut req = Request::new(id, Method::Dynamics);
-    req.game = Some(game);
-    req.state = Some(paths);
-    req.subsidy = b;
-    req.order = prev.order;
-    req.rounds = prev.rounds;
-    req.canon = false;
-    req
-}
-
 /// Poison-tolerant session lock: a poisoned mutex means a fault tore an
 /// earlier holder mid-operation, so the view is flagged for replay.
-fn lock_session(
-    sess: &Mutex<crate::session::Session>,
-) -> std::sync::MutexGuard<'_, crate::session::Session> {
+fn lock_session(sess: &Mutex<Session>) -> MutexGuard<'_, Session> {
     match sess.lock() {
         Ok(g) => g,
         Err(p) => {
@@ -2463,6 +2393,148 @@ mod tests {
         // Seqs strictly increase across the whole ring (causal order).
         let all = rec.snapshot();
         assert!(all.windows(2).all(|w| w[0].seq < w[1].seq), "{all:?}");
+    }
+
+    /// The `op` of every `session` sub-event on one trace, in order.
+    fn session_ops(rec: &ndg_obs::events::Recorder, trace_id: u64) -> Vec<String> {
+        rec.snapshot_trace(trace_id)
+            .iter()
+            .filter(|e| e.kind == "session")
+            .map(|e| e.field("op").unwrap_or("-").to_string())
+            .collect()
+    }
+
+    /// Open a 5-cycle session on `r` and commit one delta (epoch 0 -> 1).
+    fn session_at_epoch_one(r: &Router) -> String {
+        let open = r.handle_line(&format!(
+            "ndg1;id=o;method=open;tree={};game={}",
+            tree_ids(5),
+            cycle_game_spec(5)
+        ));
+        let sid = header(&open, "session").unwrap();
+        let d = r.handle_line(&format!(
+            "ndg1;id=d0;method=delta;session={sid};epoch=0;delta=patch;edge=4;w=0.5"
+        ));
+        assert!(d.starts_with("ok;id=d0;"), "{d}");
+        sid
+    }
+
+    /// The payload of a cold solve of session `sid`'s current answer.
+    fn cold_payload(r: &Router, sid: &str) -> String {
+        let cold_line = r.session_cold_line(sid).unwrap();
+        let cold = Router::with_canon(Executor::sequential(), 0, false).handle_line(&cold_line);
+        payload_of(&cold).to_string()
+    }
+
+    #[test]
+    fn session_resync_panic_leaves_the_session_dirty_for_the_next_delta() {
+        let (mut r, rec) = recorded_router();
+        rec.set_dump_budget(1);
+        r.set_fault_hook(Some(Arc::new(|req: &Request| {
+            if req.id == "boom" {
+                panic!("injected");
+            }
+        })));
+        let sid = session_at_epoch_one(&r);
+        let boom = r.handle_line(&format!(
+            "ndg1;id=boom;trace_id=9100;method=resync;session={sid}"
+        ));
+        assert!(
+            boom.starts_with("err;id=boom;trace_id=9100;code=internal;"),
+            "{boom}"
+        );
+        assert!(r.sessions().get(&sid).unwrap().lock().unwrap().dirty);
+        // The panic has its event, and its fault dump spent the budget.
+        assert_eq!(session_ops(&rec, 9100), ["panic"]);
+        assert!(rec.dump_fault(0, "probe").is_none(), "no fault dump");
+        // The next delta replays the journal first: one resync, flagged.
+        let d = r.handle_line(&format!(
+            "ndg1;id=d1;trace_id=9101;method=delta;session={sid};epoch=1;delta=patch;edge=0;w=2"
+        ));
+        assert!(d.starts_with("ok;id=d1;"), "{d}");
+        assert_eq!(header(&d, "epoch").as_deref(), Some("2"), "{d}");
+        assert_eq!(header(&d, "resynced").as_deref(), Some("1"), "{d}");
+        assert_eq!(payload_of(&d), cold_payload(&r, &sid));
+        assert_eq!(session_ops(&rec, 9101), ["resync"]);
+        let snap = r.sessions().snapshot();
+        assert_eq!((snap.deltas, snap.resyncs), (2, 1), "{snap:?}");
+        assert_eq!(r.conn_stats().snapshot().panics, 1);
+    }
+
+    #[test]
+    fn session_failed_audit_commits_the_cold_replay() {
+        let (mut r, rec) = recorded_router();
+        r.set_session_config(crate::session::SessionConfig {
+            audit_every: 2,
+            max_sessions: 8,
+        });
+        let sid = session_at_epoch_one(&r);
+        // Corrupt the committed warm view: every edge weight doubled.
+        {
+            let sess = r.sessions().get(&sid).unwrap();
+            let mut s = sess.lock().unwrap();
+            let Some(crate::codec::WireGame::Broadcast { edges, .. }) = &mut s.view.req.game else {
+                panic!("broadcast session");
+            };
+            edges.iter_mut().for_each(|e| e.2 *= 2.0);
+        }
+        // The next delta is audited: the replay wins and is served.
+        let d = r.handle_line(&format!(
+            "ndg1;id=d1;trace_id=9200;method=delta;session={sid};epoch=1;delta=patch;edge=0;w=2"
+        ));
+        assert!(d.starts_with("ok;id=d1;"), "{d}");
+        assert_eq!(header(&d, "epoch").as_deref(), Some("2"), "{d}");
+        assert_eq!(header(&d, "resynced").as_deref(), Some("1"), "{d}");
+        assert_eq!(payload_of(&d), cold_payload(&r, &sid));
+        assert_eq!(session_ops(&rec, 9200), ["audit_failed", "resync"]);
+        let snap = r.sessions().snapshot();
+        assert_eq!(
+            (snap.deltas, snap.audits, snap.audits_failed, snap.resyncs),
+            (2, 1, 1, 1),
+            "{snap:?}"
+        );
+    }
+
+    #[test]
+    fn session_journal_that_no_longer_replays_retires_at_every_recovery_site() {
+        let mut r = Router::new(Executor::sequential(), 64);
+        r.set_session_config(crate::session::SessionConfig {
+            audit_every: 2,
+            max_sessions: 8,
+        });
+        r.set_fault_hook(Some(Arc::new(|req: &Request| {
+            if req.id == "boom" {
+                panic!("injected");
+            }
+        })));
+        let delta = "method=delta;epoch=1;delta=patch;edge=4;w=3";
+        // (site, dirty before the request, request id, request fields)
+        let sites = [
+            ("dirty lock", true, "x", delta),
+            ("panicked delta", false, "boom", delta),
+            ("failed audit", false, "x", delta),
+            ("client resync", false, "x", "method=resync"),
+        ];
+        for (site, dirty, id, fields) in sites {
+            let sid = session_at_epoch_one(&r);
+            {
+                let sess = r.sessions().get(&sid).unwrap();
+                let mut s = sess.lock().unwrap();
+                s.base.game = None;
+                s.dirty = dirty;
+            }
+            let resp = r.handle_line(&format!("ndg1;id={id};session={sid};{fields}"));
+            assert!(
+                resp.starts_with("err;id=") && resp.contains(";code=internal;msg=session journal"),
+                "{site}: {resp}"
+            );
+            let next = r.handle_line(&format!("ndg1;id=n;method=resync;session={sid}"));
+            assert!(
+                next.starts_with("err;id=n;code=session_expired;"),
+                "{site}: {next}"
+            );
+        }
+        assert_eq!(r.sessions().snapshot().open, 0);
     }
 
     #[test]

@@ -18,9 +18,15 @@
 //! one whole `View`, so any fault — an injected panic mid-delta, a
 //! poisoned session lock, a failed divergence audit — degrades by
 //! discarding the incremental view and replaying the journal from the
-//! base, which reconstructs the exact committed answer (replay repeats
-//! the same deterministic apply + solve sequence). Recovered responses
-//! carry `resynced=1` in the volatile header, never in the payload.
+//! base, which reconstructs the exact committed answer. The router
+//! derives a view one way only: its `replay` runs the base's cold solve
+//! and then, per journaled op, the same `step` (apply + warm solve) the
+//! live delta runs. Every recovery, client `resync` included, goes
+//! through one commit that replaces the view, counts one resync and
+//! emits one `session`/`resync` event; a journal that no longer replays
+//! retires the session (`code=internal`, then `session_expired`).
+//! Recovered responses carry `resynced=1` in the volatile header, never
+//! in the payload.
 //!
 //! Admission is bounded: at most `--max-sessions` live sessions, with
 //! least-recently-used idle eviction. Evicted and closed ids answer
@@ -94,8 +100,9 @@ pub(crate) struct Session {
     pub journal: Vec<DeltaOp>,
     /// The committed incremental view.
     pub view: View,
-    /// Set when a fault may have left `view` unworthy of trust (poisoned
-    /// lock); the next operation replays the journal before serving.
+    /// Set when a fault may have left `view` unworthy of trust (a
+    /// poisoned lock or a panicked `resync`); the next operation replays
+    /// the journal before serving.
     pub dirty: bool,
 }
 
