@@ -8,16 +8,26 @@
 //!    solve + response);
 //! 2. **cold re-solves** — the same patched instances solved from scratch
 //!    through a fresh cache-off sequential router, replaying the literal
-//!    `session_cold_line` the server synthesizes (this is also the
-//!    divergence-audit path, and the *specification* of every session
-//!    answer);
-//! 3. **resync** — one full journal replay from the pinned base, the
-//!    recovery cost after a fault.
+//!    `session_cold_line` the server synthesizes (the *specification* of
+//!    every session answer);
+//! 3. **resync** — one replay of the journal window since the latest
+//!    checkpoint, the recovery cost after a fault. Audits are off in the
+//!    warm pass, so the checkpoint is still the `open` view and the timed
+//!    resync replays every delta; its replay then becomes the checkpoint.
 //!
-//! The gate, asserted on every family at full and smoke scale: every warm
-//! session payload is **byte-identical** to its cold re-solve. Timing is
-//! reported, not gated — on a 1-core container the interesting ratio is
-//! warm-vs-cold work per delta, which survives the hardware.
+//! The gates, asserted on every family at full and smoke scale:
+//!
+//! * every warm session payload is **byte-identical** to its cold
+//!   re-solve;
+//! * the timed resync replays exactly one step per delta, and a second
+//!   resync answers the same bytes from an empty window;
+//! * an audited pass (the same stream, audit every 8th delta) answers the
+//!   same bytes, and each of its audits replays exactly the 8 ops since
+//!   the previous checkpoint — `serve_session_replayed_solves`, read
+//!   through `method=metrics`, rises by `audits × 8`.
+//!
+//! Timing is reported, not gated — on a 1-core container the interesting
+//! ratio is warm-vs-cold work per delta, which survives the hardware.
 //!
 //! Results are spliced into `BENCH_serve.json` under `"e16_sessions"`
 //! (every other section is kept byte for byte); `--smoke` shrinks the
@@ -32,24 +42,49 @@ use rand::rngs::StdRng;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+/// The audited pass's cadence.
+const AUDIT_EVERY: u64 = 8;
+
 struct FamilyResult {
     id: &'static str,
     deltas: usize,
     warm_ms: f64,
     cold_ms: f64,
     resync_ms: f64,
+    /// Steps the audited pass's audits replayed.
+    replayed: u64,
 }
 
-/// A session router: sequential, result cache on, audits off (the cold
-/// pass below *is* the audit; auditing during the warm timing would fold
-/// the cold cost into the warm number).
-fn session_router() -> Router {
+/// A session router: sequential, result cache on, auditing every
+/// `audit_every`th delta (0: off — the warm timing runs without audits,
+/// so it prices deltas alone).
+fn session_router(audit_every: u64) -> Router {
     let mut r = Router::with_canon(Executor::sequential(), 64, true);
     r.set_session_config(SessionConfig {
-        audit_every: 0,
+        audit_every,
         max_sessions: 8,
     });
     r
+}
+
+/// Open the family's session on `router`; returns its id.
+fn open_session(router: &Router, id: &str, open_line: &str) -> String {
+    let open = router.handle_line(open_line);
+    assert!(open.starts_with("ok;"), "{id}: open failed: {open}");
+    open.split(';')
+        .find_map(|f| f.strip_prefix("session="))
+        .expect("open carries a session id")
+        .to_string()
+}
+
+/// `serve_session_replayed_solves` as `method=metrics` exposes it (0
+/// until a replayed step registers it).
+fn replayed_solves(router: &Router) -> u64 {
+    let metrics = router.handle_line("ndg1;id=m;method=metrics");
+    metrics
+        .split(';')
+        .find_map(|f| f.strip_prefix("serve_session_replayed_solves="))
+        .map_or(0, |v| v.parse().expect("counter value"))
 }
 
 fn run_family(
@@ -59,14 +94,21 @@ fn run_family(
     deltas: usize,
     rng: &mut StdRng,
 ) -> FamilyResult {
-    let router = session_router();
-    let open = router.handle_line(open_line);
-    assert!(open.starts_with("ok;"), "{id}: open failed: {open}");
-    let sid = open
-        .split(';')
-        .find_map(|f| f.strip_prefix("session="))
-        .expect("open carries a session id")
-        .to_string();
+    // The seeded patch stream both session passes send.
+    let patches: Vec<(usize, f64)> = (0..deltas)
+        .map(|_| {
+            (
+                rng.random_range(0..edges),
+                rng.random_range(1..=8u32) as f64 / 4.0,
+            )
+        })
+        .collect();
+    let delta_line = |sid: &str, k: usize| {
+        let (edge, w) = patches[k];
+        format!("ndg1;id=d{k};method=delta;session={sid};epoch={k};delta=patch;edge={edge};w={w}")
+    };
+    let router = session_router(0);
+    let sid = open_session(&router, id, open_line);
 
     // Warm pass: session deltas, capturing the synthesized cold request
     // after each commit. Only each delta's `handle_line` is timed: the
@@ -75,11 +117,7 @@ fn run_family(
     let mut cold_lines = Vec::with_capacity(deltas);
     let mut warm = Duration::ZERO;
     for k in 0..deltas {
-        let line = format!(
-            "ndg1;id=d{k};method=delta;session={sid};epoch={k};delta=patch;edge={};w={}",
-            rng.random_range(0..edges),
-            rng.random_range(1..=8u32) as f64 / 4.0
-        );
+        let line = delta_line(&sid, k);
         let t0 = Instant::now();
         let resp = router.handle_line(&line);
         warm += t0.elapsed();
@@ -105,26 +143,62 @@ fn run_family(
         );
     }
 
-    // Resync: one full journal replay (best of 3 — the work is identical
-    // each time).
-    let mut resync_ms = f64::INFINITY;
-    for i in 0..3 {
+    // Resync: the first replays the whole window (no audit has moved the
+    // checkpoint off the `open` view) and is the one timed; its replay is
+    // the new checkpoint, so the second replays an empty window.
+    let before = replayed_solves(&router);
+    let mut resync_ms = 0.0;
+    for i in 0..2 {
         let t0 = Instant::now();
         let rs = router.handle_line(&format!("ndg1;id=rs{i};method=resync;session={sid}"));
-        resync_ms = resync_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(rs.contains(";resynced=1;"), "{id}: resync failed: {rs}");
+        if i == 0 {
+            resync_ms = t0.elapsed().as_secs_f64() * 1e3;
+        }
+        assert!(rs.contains(";resynced=1;"), "{id}: resync {i} failed: {rs}");
         assert_eq!(
             payload_of(&rs),
             warm_payloads[deltas - 1],
-            "{id}: resync diverged from the committed view"
+            "{id}: resync {i} diverged from the committed view"
+        );
+        assert_eq!(
+            replayed_solves(&router) - before,
+            deltas as u64,
+            "{id}: resync {i} replayed the wrong window"
         );
     }
+
+    // Audited pass: the same stream with audits on. Every answer is the
+    // specification's, no audit fails, and each audit replays only the
+    // ops since the previous one's checkpoint.
+    let audited = session_router(AUDIT_EVERY);
+    let asid = open_session(&audited, id, open_line);
+    let before = replayed_solves(&audited);
+    for (k, cold) in cold_payloads.iter().enumerate() {
+        let resp = audited.handle_line(&delta_line(&asid, k));
+        assert!(
+            resp.starts_with("ok;") && !resp.contains(";resynced=1;"),
+            "{id}: audited delta {k} failed or resynced: {resp}"
+        );
+        assert_eq!(
+            &payload_of(&resp),
+            cold,
+            "{id}: audited delta {k} diverged from its cold re-solve"
+        );
+    }
+    let replayed = replayed_solves(&audited) - before;
+    let audits = deltas as u64 / AUDIT_EVERY;
+    assert_eq!(
+        replayed,
+        audits * AUDIT_EVERY,
+        "{id}: {audits} audits must each replay the {AUDIT_EVERY} ops since the last checkpoint"
+    );
     FamilyResult {
         id,
         deltas,
         warm_ms,
         cold_ms,
         resync_ms,
+        replayed,
     }
 }
 
@@ -140,6 +214,8 @@ fn main() {
         }
     }
     let deltas = if smoke { 12 } else { 64 };
+    // The replay gates read the process-wide registry.
+    ndg_obs::install();
     println!(
         "E16: delta sessions — warm deltas vs cold re-solves ({deltas} deltas per family{})",
         if smoke { ", smoke" } else { "" }
@@ -169,7 +245,7 @@ fn main() {
         ("general_12", general12.as_str(), 15),
     ];
 
-    let widths = [10, 7, 11, 11, 8, 10];
+    let widths = [10, 7, 11, 11, 8, 10, 9];
     println!(
         "{}",
         header(
@@ -179,7 +255,8 @@ fn main() {
                 "warm-d/s",
                 "cold-s/s",
                 "ratio",
-                "resync-ms"
+                "resync-ms",
+                "replay/d"
             ],
             &widths
         )
@@ -197,6 +274,7 @@ fn main() {
                     format!("{:.0}", r.deltas as f64 / (r.cold_ms / 1e3)),
                     format!("{:.2}x", r.cold_ms / r.warm_ms),
                     format!("{:.2}", r.resync_ms),
+                    format!("{:.2}", r.replayed as f64 / r.deltas as f64),
                 ],
                 &widths
             )
@@ -204,8 +282,9 @@ fn main() {
         results.push(r);
     }
     println!(
-        "OK: every warm session payload byte-identical to its cold re-solve \
-         ({} deltas x {} families); resync replays the full journal",
+        "OK: every warm and audited session payload byte-identical to its cold \
+         re-solve ({} deltas x {} families); a resync replays the window since \
+         the latest checkpoint, each audit the {AUDIT_EVERY} ops since the last",
         deltas,
         results.len()
     );
@@ -221,22 +300,27 @@ fn main() {
             "    \"note\": \"Delta sessions: seeded patch sequences through method=delta \
              (warm: engine starts from the previous converged state; only each delta's \
              handle_line call is timed) vs cold re-solves of the synthesized per-epoch \
-             instances (the audit path and the byte-identity specification, asserted on \
-             every delta). resync_ms is one full journal replay from the pinned base. \
-             Sequential executor; the warm/cold work ratio is the portable part.\",\n",
+             instances (the byte-identity specification, asserted on every delta). \
+             resync_ms is one replay of the journal window since the latest checkpoint; \
+             with audits off that window is every delta since open. \
+             replayed_solves_per_delta counts the steps the audits of a second pass \
+             (audit every 8th delta) replayed: each audit replays only the ops since \
+             the previous checkpoint. Sequential executor; the warm/cold work ratio \
+             is the portable part.\",\n",
         );
         s.push_str("    \"families\": [\n");
         for (i, r) in results.iter().enumerate() {
             s.push_str(&format!(
                 "      {{ \"id\": \"{}\", \"deltas\": {}, \"warm_deltas_per_s\": {:.0}, \
                  \"cold_solves_per_s\": {:.0}, \"cold_over_warm\": {:.2}, \
-                 \"resync_ms\": {:.2} }}{}\n",
+                 \"resync_ms\": {:.2}, \"replayed_solves_per_delta\": {:.2} }}{}\n",
                 r.id,
                 r.deltas,
                 r.deltas as f64 / (r.warm_ms / 1e3),
                 r.deltas as f64 / (r.cold_ms / 1e3),
                 r.cold_ms / r.warm_ms,
                 r.resync_ms,
+                r.replayed as f64 / r.deltas as f64,
                 if i + 1 < results.len() { "," } else { "" }
             ));
         }

@@ -880,6 +880,8 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
         sid_srv: String,
         sid_ref: String,
         epoch: u64,
+        /// The server's checkpoint epoch: where its journal window starts.
+        checkpoint: u64,
         edges: usize,
         nodes: usize,
         failed: bool,
@@ -919,6 +921,7 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
             sid_srv,
             sid_ref,
             epoch: 0,
+            checkpoint: 0,
             edges: *edges,
             nodes: *nodes,
             failed: false,
@@ -1029,11 +1032,14 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
                 report.fail(format!("clean delta {id} flagged resynced: {srv}"));
             }
             if resynced {
-                // Recovery replays the journal cold; no audit runs on
-                // that path (it *is* the cold solve).
+                // Recovery replays the journal window; no audit runs on
+                // that path (it *is* the replay). Its view is the new
+                // checkpoint, as is a passing audit's.
                 expect_resyncs += 1;
+                s.checkpoint = s.epoch;
             } else if s.epoch.is_multiple_of(AUDIT_EVERY) {
                 expect_audits += 1;
+                s.checkpoint = s.epoch;
             }
         } else if boom {
             report.fail(format!("panicked patch {id} did not commit: {srv}"));
@@ -1046,7 +1052,7 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
             let (c, r) = connect(addr)?;
             conn = c;
             reader = r;
-            for (i, s) in sessions.iter().enumerate() {
+            for (i, s) in sessions.iter_mut().enumerate() {
                 let srv = roundtrip(
                     &mut conn,
                     &mut reader,
@@ -1065,6 +1071,7 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
                     report.fail(format!("post-disconnect resync srs{i} malformed: {srv}"));
                 }
                 expect_resyncs += 1;
+                s.checkpoint = s.epoch;
             }
         }
     }
@@ -1099,9 +1106,13 @@ fn session_phase(spec: ChaosSpec, report: &mut ChaosReport) -> io::Result<()> {
         ("audits", expect_audits as i64),
         ("audits_failed", 0),
         // The journal gauge covers *live* sessions only; after the close
-        // it is exactly the surviving session's committed-delta count
-        // (`epoch == journal.len()` is the session invariant).
-        ("sessions_journal_ops", sessions[0].epoch as i64),
+        // it is exactly the surviving session's window, the deltas since
+        // its checkpoint (`epoch == checkpoint + journal.len()` is the
+        // session invariant).
+        (
+            "sessions_journal_ops",
+            (sessions[0].epoch - sessions[0].checkpoint) as i64,
+        ),
     ] {
         if stat(key) != want {
             report.fail(format!(

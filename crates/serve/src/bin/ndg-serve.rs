@@ -16,8 +16,9 @@
 //! `err;code=overloaded;retry_ms=…`), `--idle-timeout-ms MS` (reap
 //! connections that stall mid-frame).
 //!
-//! Session flags: `--audit-every N` (run a cold divergence audit on every
-//! Nth committed session delta; 0 disables, default 8) and
+//! Session flags: `--audit-every N` (on every Nth committed session
+//! delta, replay the journal window since the session's checkpoint and
+//! compare; 0 disables, default 8) and
 //! `--max-sessions M` (bounded session admission with LRU idle eviction;
 //! evicted sessions answer `err;code=session_expired`, default 64).
 //!

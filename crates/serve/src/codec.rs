@@ -751,8 +751,9 @@ pub enum Method {
     /// Apply one delta (`patch`/`fail`/`join`) to an open session and
     /// answer the `dynamics` question for the patched instance.
     Delta,
-    /// Discard a session's incremental view, replay its journal from the
-    /// pinned base, and answer for the reconstructed instance.
+    /// Discard a session's incremental view, replay its journal window
+    /// from the latest checkpoint, and answer for the reconstructed
+    /// instance.
     Resync,
     /// Close a session (its id answers `session_expired` afterwards).
     Close,

@@ -24,9 +24,9 @@
 //!   Dijkstra workspaces; bounded-in-flight admission with overload
 //!   shedding, idle-connection reaping, and graceful drain;
 //! * [`session`] — crash-safe delta sessions: `open`/`delta`/`resync`/
-//!   `close` over a pinned instance, write-ahead delta journals with
-//!   replay-based recovery, sampled divergence audits, and bounded LRU
-//!   admission;
+//!   `close` over a pinned instance, checkpointed write-ahead delta
+//!   journals with replay-based recovery, sampled divergence audits, and
+//!   bounded LRU admission;
 //! * [`workload`] — the deterministic mixed-request generator behind
 //!   the TCP contract test, the E12 load experiment and perfbench.
 //!

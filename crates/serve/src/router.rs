@@ -21,7 +21,7 @@ use crate::codec::{
     DEFAULT_CAP, DEFAULT_LIMIT, DEFAULT_ROUNDS,
 };
 use crate::server::ConnStats;
-use crate::session::{apply_delta, state_paths, Session, View};
+use crate::session::{apply_delta, state_paths, Session, View, SESSION_REPLAYED_SOLVES};
 use ndg_core::{best_response_dynamics_budgeted, best_response_with, NetworkDesignGame, State};
 use ndg_exec::{Budget, Executor};
 use ndg_graph::paths::{DijkstraWorkspace, WorkspacePool};
@@ -733,8 +733,9 @@ impl Router {
     /// 4. robustness: `shed`, `panics`, `deadlines`
     /// 5. sessions: `sessions_open`, `sessions_opened`, `sessions_expired`,
     ///    `deltas`, `resyncs`, `audits`, `audits_failed`,
-    ///    `sessions_journal_ops` (total journal length across live
-    ///    sessions — the resync-replay cost building up)
+    ///    `sessions_journal_ops` (total journal window length across
+    ///    live sessions — the ops a resync of each would replay from its
+    ///    checkpoint)
     /// 6. process: `uptime_ms` (since construction or the last clock swap)
     /// 7. slow ring: `slow_count`, then one
     ///    `slow{i}={method}:{key:016x}:{total_us}:{parse/canon/cache/delta/solve/unmap/write}`
@@ -1058,15 +1059,16 @@ impl Router {
     }
 
     /// `method=open`: pin the instance, answer its `dynamics` question,
-    /// and admit the session (LRU-evicting at capacity).
+    /// and admit the session (LRU-evicting at capacity). This cold solve
+    /// is the session's only one: it is also the first checkpoint.
     fn session_open(
         &self,
         req: &Request,
         budget: &Budget,
         laps: &mut Laps<'_>,
     ) -> Result<(String, String), WireError> {
-        // The pinned base is the open request reshaped into the literal
-        // cold `dynamics` request it is specified to answer like.
+        // The opened instance is the open request reshaped into the
+        // literal cold `dynamics` request it is specified to answer like.
         let mut synth = req.clone();
         synth.method = Method::Dynamics;
         synth.canon = false;
@@ -1090,14 +1092,16 @@ impl Router {
             }
         };
         laps.lap(STAGE_SOLVE);
+        let view = View {
+            req: synth,
+            payload: payload.clone(),
+            converged: state_paths(&state),
+        };
         let sid = self.sessions.open(Session {
-            base: synth.clone(),
+            checkpoint: view.clone(),
+            checkpoint_epoch: 0,
             journal: Vec::new(),
-            view: View {
-                req: synth,
-                payload: payload.clone(),
-                converged: state_paths(&state),
-            },
+            view,
             dirty: false,
         })?;
         ndg_obs::events::emit(
@@ -1110,8 +1114,9 @@ impl Router {
     /// `method=delta`: journal the op (write-ahead), [`step`](Self::step)
     /// the committed view through it, and commit the new view atomically.
     /// A panic degrades to a [`replay`](Self::replay) of the journal
-    /// through the op; every `--audit-every`th committed delta is
-    /// divergence-audited against that same replay.
+    /// window through the op; every `--audit-every`th committed delta is
+    /// divergence-audited against that same replay, and a passing audit
+    /// makes its replay the checkpoint.
     fn session_delta(
         &self,
         req: &Request,
@@ -1129,7 +1134,7 @@ impl Router {
         let mut resynced = s.dirty;
         if resynced {
             // A torn earlier holder: rebuild the committed view from the
-            // journal before trusting anything in it.
+            // checkpoint before trusting anything in it.
             let replayed = self.replay(&s);
             s = self.commit(s, sid, replayed)?;
         }
@@ -1163,7 +1168,8 @@ impl Router {
             }
             Err(_) => {
                 // Panic mid-delta (injected or real): discard the
-                // incremental attempt and replay through the journaled op.
+                // incremental attempt and replay the window through the
+                // journaled op.
                 self.session_panicked(sid, "session delta panicked");
                 let replayed = self.replay(&s);
                 if let Err(Some(e)) = replayed {
@@ -1181,9 +1187,12 @@ impl Router {
         self.sessions.note_delta();
         if audit {
             match self.replay(&s) {
-                Ok(cold)
-                    if cold.payload == s.view.payload && cold.converged == s.view.converged =>
+                Ok(view)
+                    if view.payload == s.view.payload && view.converged == s.view.converged =>
                 {
+                    // The replay, never the live view (its fault may not
+                    // show in the comparison), is the next checkpoint.
+                    s.set_checkpoint(view);
                     self.sessions.note_audit(false);
                 }
                 replayed => {
@@ -1208,8 +1217,8 @@ impl Router {
     }
 
     /// `method=resync`: client-requested recovery — replace the
-    /// incremental view with a [`replay`](Self::replay) of the journal and
-    /// serve it (`resynced=1`, epoch unchanged).
+    /// incremental view with a [`replay`](Self::replay) of the journal
+    /// window and serve it (`resynced=1`, epoch unchanged).
     fn session_resync(
         &self,
         req: &Request,
@@ -1256,7 +1265,7 @@ impl Router {
             vec![("op", "close".to_string()), ("sid", sid.to_string())],
         );
         Ok((
-            format!("closed=1;deltas={}", s.journal.len()),
+            format!("closed=1;deltas={}", s.epoch()),
             session_header(sid, s.epoch(), false),
         ))
     }
@@ -1285,22 +1294,23 @@ impl Router {
         })
     }
 
-    /// Derive a session's view from its journal: the pinned base's cold
-    /// solve, then one [`step`](Self::step) per journaled op. Deterministic,
-    /// budget-free (recovery and audits must not be starved by a client
-    /// deadline) and panic-isolated. `Err(Some(e))` means the newest op
-    /// failed with `e`; `Err(None)` means the base, an older op or a panic.
+    /// Derive a session's view from its checkpoint: a copy of it, then
+    /// one [`step`](Self::step) per op in the journal window. No cold
+    /// solve runs. Deterministic, budget-free (recovery and audits must
+    /// not be starved by a client deadline) and panic-isolated.
+    /// `Err(Some(e))` means the newest op failed with `e`; `Err(None)`
+    /// means the checkpoint (one without an instance to step), an older
+    /// op or a panic.
     fn replay(&self, s: &Session) -> Result<View, Option<WireError>> {
+        if s.checkpoint.req.game.is_none() {
+            return Err(None);
+        }
         let unlimited = Budget::unlimited();
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (payload, state) = self.dynamics_full(&s.base, &unlimited).map_err(|_| None)?;
-            let mut view = View {
-                req: s.base.clone(),
-                payload,
-                converged: state_paths(&state),
-            };
+            let mut view = s.checkpoint.clone();
             for (i, &op) in s.journal.iter().enumerate() {
                 let newest = i + 1 == s.journal.len();
+                SESSION_REPLAYED_SOLVES.inc();
                 view = self
                     .step(&view, op, &unlimited)
                     .map_err(|e| newest.then_some(e))?;
@@ -1310,11 +1320,12 @@ impl Router {
         replayed.unwrap_or(Err(None))
     }
 
-    /// Commit a [`replay`](Self::replay): install its view, clear `dirty`,
-    /// count one resync and emit one `session`/`resync` event. A journal
-    /// that no longer replays retires the session instead: `code=internal`
-    /// now, `session_expired` from then on. The guard is released before
-    /// retiring (lock order is table → session).
+    /// Commit a [`replay`](Self::replay): install its view and a copy of
+    /// it as the checkpoint, clear `dirty`, count one resync and emit one
+    /// `session`/`resync` event. A journal that no longer replays retires
+    /// the session instead: `code=internal` now, `session_expired` from
+    /// then on. The guard is released before retiring (lock order is
+    /// table → session).
     fn commit<'s>(
         &self,
         mut s: MutexGuard<'s, Session>,
@@ -1329,7 +1340,11 @@ impl Router {
                 msg: "session journal replay failed; session retired".into(),
             });
         };
+        // Copy first: no unwind can leave the checkpoint paired with the
+        // wrong window.
+        let checkpoint = view.clone();
         s.view = view;
+        s.set_checkpoint(checkpoint);
         s.dirty = false;
         self.sessions.note_resync();
         ndg_obs::events::emit(
@@ -2508,19 +2523,37 @@ mod tests {
             }
         })));
         let delta = "method=delta;epoch=1;delta=patch;edge=4;w=3";
-        // (site, dirty before the request, request id, request fields)
+        // (site, dirty before the request, audited to a fresh checkpoint
+        // first, request id, request fields)
         let sites = [
-            ("dirty lock", true, "x", delta),
-            ("panicked delta", false, "boom", delta),
-            ("failed audit", false, "x", delta),
-            ("client resync", false, "x", "method=resync"),
+            ("dirty lock", true, false, "x", delta),
+            ("panicked delta", false, false, "boom", delta),
+            ("failed audit", false, false, "x", delta),
+            ("client resync", false, false, "x", "method=resync"),
+            (
+                "panicked delta alone in its window",
+                false,
+                true,
+                "boom",
+                "method=delta;epoch=2;delta=patch;edge=4;w=3",
+            ),
         ];
-        for (site, dirty, id, fields) in sites {
+        for (site, dirty, audited, id, fields) in sites {
             let sid = session_at_epoch_one(&r);
+            if audited {
+                let d = r.handle_line(&format!(
+                    "ndg1;id=a;method=delta;session={sid};epoch=1;delta=patch;edge=0;w=2"
+                ));
+                assert!(
+                    d.starts_with("ok;id=a;") && header(&d, "resynced").is_none(),
+                    "{site}: {d}"
+                );
+            }
             {
                 let sess = r.sessions().get(&sid).unwrap();
                 let mut s = sess.lock().unwrap();
-                s.base.game = None;
+                assert_eq!(s.journal.is_empty(), audited, "{site}");
+                s.checkpoint.req.game = None;
                 s.dirty = dirty;
             }
             let resp = r.handle_line(&format!("ndg1;id={id};session={sid};{fields}"));
@@ -2535,6 +2568,162 @@ mod tests {
             );
         }
         assert_eq!(r.sessions().snapshot().open, 0);
+    }
+
+    #[test]
+    fn session_replay_from_the_checkpoint_equals_replay_from_the_open_view() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        // K6 rooted at 0 with the star tree (edge ids 0..=4). Its edge
+        // connectivity is 5, so the at most 4 fails below never
+        // disconnect it and every op commits.
+        let n = 6u32;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        for seed in 0..6u64 {
+            let audit_every = 2 + seed % 2;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let quarter = |rng: &mut StdRng| f64::from(rng.random_range(1..=8u32)) / 4.0;
+            let spec: Vec<String> = pairs
+                .iter()
+                .map(|(u, v)| format!("{u}/{v}/{}", quarter(&mut rng)))
+                .collect();
+            let mut r = Router::new(Executor::sequential(), 64);
+            r.set_session_config(crate::session::SessionConfig {
+                audit_every,
+                max_sessions: 8,
+            });
+            let open = r.handle_line(&format!(
+                "ndg1;id=o;method=open;tree=0,1,2,3,4;game=broadcast:{n}:0:{}",
+                spec.join(",")
+            ));
+            let sid = header(&open, "session").unwrap();
+            let sess = r.sessions().get(&sid).unwrap();
+            let opened = sess.lock().unwrap().view.clone();
+            let (mut sent, mut edges, mut fails) = (Vec::new(), pairs.len() as u32, 0);
+            for epoch in 0..24u64 {
+                if epoch == 13 {
+                    let rs = r.handle_line(&format!("ndg1;id=rs;method=resync;session={sid}"));
+                    assert!(rs.contains(";epoch=13;resynced=1;"), "{rs}");
+                }
+                let op = if fails < 4 && rng.random_range(0..4u32) == 0 {
+                    fails += 1;
+                    edges -= 1;
+                    DeltaOp::Fail {
+                        edge: rng.random_range(0..=edges),
+                    }
+                } else {
+                    DeltaOp::Patch {
+                        edge: rng.random_range(0..edges),
+                        w: quarter(&mut rng),
+                    }
+                };
+                let delta = match op {
+                    DeltaOp::Fail { edge } => format!("delta=fail;edge={edge}"),
+                    DeltaOp::Patch { edge, w } => format!("delta=patch;edge={edge};w={w}"),
+                    DeltaOp::Join { .. } => unreachable!("no joins on broadcast games"),
+                };
+                let resp = r.handle_line(&format!(
+                    "ndg1;id=d{epoch};method=delta;session={sid};epoch={epoch};{delta}"
+                ));
+                assert!(resp.starts_with(&format!("ok;id=d{epoch};")), "{resp}");
+                assert_eq!(header(&resp, "resynced"), None, "{resp}");
+                sent.push(op);
+                let (s, at) = (sess.lock().unwrap(), epoch + 1);
+                // The window is exactly the ops after the checkpoint.
+                assert_eq!(s.epoch(), at);
+                assert_eq!(s.journal, sent[s.checkpoint_epoch as usize..]);
+                let windowed = r.replay(&s).unwrap();
+                let from_open = r
+                    .replay(&Session {
+                        checkpoint: opened.clone(),
+                        checkpoint_epoch: 0,
+                        journal: sent.clone(),
+                        view: opened.clone(),
+                        dirty: false,
+                    })
+                    .unwrap();
+                assert_eq!(windowed.payload, from_open.payload, "epoch {at}");
+                assert_eq!(windowed.converged, from_open.converged, "epoch {at}");
+                assert_eq!(windowed.payload, s.view.payload, "epoch {at}");
+            }
+            assert!(fails > 0, "seed {seed}: the journal holds fails");
+            // Audits and the resync moved the checkpoint along the way.
+            let snap = r.sessions().snapshot();
+            assert_eq!((snap.audits, snap.audits_failed), (24 / audit_every, 0));
+            assert_eq!(sess.lock().unwrap().checkpoint_epoch, 24);
+        }
+    }
+
+    #[test]
+    fn session_audit_catches_a_view_corrupted_after_a_checkpoint() {
+        let mut r = Router::new(Executor::sequential(), 64);
+        r.set_session_config(crate::session::SessionConfig {
+            audit_every: 2,
+            max_sessions: 8,
+        });
+        let sid = session_at_epoch_one(&r);
+        let d = r.handle_line(&format!(
+            "ndg1;id=d1;method=delta;session={sid};epoch=1;delta=patch;edge=0;w=2"
+        ));
+        assert!(d.starts_with("ok;id=d1;"), "{d}");
+        assert_eq!(header(&d, "resynced"), None, "{d}");
+        // The passing audit at epoch 2 made a checkpoint; now corrupt the
+        // live view after it: every edge weight doubled.
+        {
+            let sess = r.sessions().get(&sid).unwrap();
+            let mut s = sess.lock().unwrap();
+            assert_eq!((s.checkpoint_epoch, s.journal.len()), (2, 0));
+            let Some(crate::codec::WireGame::Broadcast { edges, .. }) = &mut s.view.req.game else {
+                panic!("broadcast session");
+            };
+            edges.iter_mut().for_each(|e| e.2 *= 2.0);
+        }
+        let d = r.handle_line(&format!(
+            "ndg1;id=d2;method=delta;session={sid};epoch=2;delta=patch;edge=1;w=0.5"
+        ));
+        assert_eq!(header(&d, "resynced"), None, "{d}");
+        // The audit at epoch 4 replays the window from the checkpoint,
+        // catches the corruption and serves the replay.
+        let d = r.handle_line(&format!(
+            "ndg1;id=d3;method=delta;session={sid};epoch=3;delta=patch;edge=2;w=1.5"
+        ));
+        assert!(d.starts_with("ok;id=d3;"), "{d}");
+        assert_eq!(header(&d, "epoch").as_deref(), Some("4"), "{d}");
+        assert_eq!(header(&d, "resynced").as_deref(), Some("1"), "{d}");
+        assert_eq!(payload_of(&d), cold_payload(&r, &sid));
+        let snap = r.sessions().snapshot();
+        assert_eq!((snap.audits, snap.audits_failed), (2, 1), "{snap:?}");
+        let sess = r.sessions().get(&sid).unwrap();
+        let s = sess.lock().unwrap();
+        assert_eq!((s.checkpoint_epoch, s.journal.len()), (4, 0));
+    }
+
+    #[test]
+    fn session_close_reports_the_epoch_and_the_gauge_counts_the_window() {
+        let mut r = Router::new(Executor::sequential(), 64);
+        r.set_session_config(crate::session::SessionConfig {
+            audit_every: 2,
+            max_sessions: 8,
+        });
+        let sid = session_at_epoch_one(&r);
+        for epoch in 1..3 {
+            let d = r.handle_line(&format!(
+                "ndg1;id=d{epoch};method=delta;session={sid};epoch={epoch};delta=patch;edge=0;w={}",
+                epoch + 1
+            ));
+            assert!(d.starts_with(&format!("ok;id=d{epoch};")), "{d}");
+        }
+        // Three deltas, the audit at epoch 2 made a checkpoint: the
+        // window holds only the third.
+        let stats = r.handle_line("ndg1;id=s;method=stats");
+        assert!(stats.contains(";audits=1;audits_failed=0;"), "{stats}");
+        assert!(stats.contains(";sessions_journal_ops=1;"), "{stats}");
+        let close = r.handle_line(&format!("ndg1;id=c;method=close;session={sid}"));
+        assert!(close.starts_with("ok;id=c;"), "{close}");
+        assert_eq!(header(&close, "epoch").as_deref(), Some("3"), "{close}");
+        assert!(close.ends_with(";closed=1;deltas=3"), "{close}");
     }
 
     #[test]

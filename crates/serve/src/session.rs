@@ -10,18 +10,22 @@
 //! solve starts*, never what it returns, because the solve itself is the
 //! router's one `dynamics` engine either way.
 //!
-//! The robustness spine is a per-session **write-ahead delta journal**:
-//! the pinned base request plus the ordered [`DeltaOp`] log, with
-//! `epoch == journal.len()` (the applied-delta count, echoed on every
-//! response and optimistically checked by `delta`). The op is journaled
-//! *before* it is applied; deltas are applied to clones and committed as
-//! one whole `View`, so any fault — an injected panic mid-delta, a
-//! poisoned session lock, a failed divergence audit — degrades by
-//! discarding the incremental view and replaying the journal from the
-//! base, which reconstructs the exact committed answer. The router
-//! derives a view one way only: its `replay` runs the base's cold solve
-//! and then, per journaled op, the same `step` (apply + warm solve) the
-//! live delta runs. Every recovery, client `resync` included, goes
+//! The robustness spine is a per-session **write-ahead delta journal**
+//! behind a **checkpoint**, a view that a replay produced or confirmed:
+//! the journal is the [`DeltaOp`] window applied since, and
+//! `epoch == checkpoint_epoch + journal.len()` (the applied-delta count,
+//! echoed on every response and optimistically checked by `delta`). The
+//! op is journaled *before* it is applied; deltas are applied to clones
+//! and committed as one whole `View`, so any fault — an injected panic
+//! mid-delta, a poisoned session lock, a failed divergence audit —
+//! degrades by discarding the incremental view and replaying the window,
+//! which reconstructs the exact committed answer. The router derives a
+//! view one way only: its `replay` runs, per op in the window, the same
+//! `step` (apply + warm solve) the live delta runs, from a copy of the
+//! checkpoint. `open`'s cold solve is the first checkpoint; a passing
+//! audit's replay and every committed recovery become the next. `step`
+//! is deterministic, so a replay from a checkpoint equals one from the
+//! opened instance. Every recovery, client `resync` included, goes
 //! through one commit that replaces the view, counts one resync and
 //! emits one `session`/`resync` event; a journal that no longer replays
 //! retires the session (`code=internal`, then `session_expired`).
@@ -49,9 +53,13 @@ static DELTAS_APPLIED: ndg_obs::Counter = ndg_obs::Counter::new("serve_deltas_ap
 static SESSION_RESYNCS: ndg_obs::Counter = ndg_obs::Counter::new("serve_session_resyncs");
 /// Sampled divergence audits run (every `--audit-every`th delta).
 static DIVERGENCE_AUDITS: ndg_obs::Counter = ndg_obs::Counter::new("serve_divergence_audits");
-/// Audits whose cold replay disagreed with the warm view.
+/// Audits whose replay disagreed with the warm view.
 static DIVERGENCE_AUDITS_FAILED: ndg_obs::Counter =
     ndg_obs::Counter::new("serve_divergence_audits_failed");
+/// Warm steps run by journal replays (audits and recoveries), one per
+/// replayed op.
+pub(crate) static SESSION_REPLAYED_SOLVES: ndg_obs::Counter =
+    ndg_obs::Counter::new("serve_session_replayed_solves");
 
 /// Retired-id memory bound: the FIFO of closed/evicted session ids kept
 /// for `session_expired` diagnostics.
@@ -90,13 +98,18 @@ pub(crate) struct View {
     pub converged: Vec<Vec<EdgeId>>,
 }
 
-/// One live session: pinned base + write-ahead journal + committed view.
+/// One live session: checkpoint + write-ahead journal window + committed
+/// view.
 #[derive(Debug)]
 pub(crate) struct Session {
-    /// The pinned base request (the `open` instance, as a literal
-    /// `dynamics` request) — journal replay starts here.
-    pub base: Request,
-    /// Applied-delta log; `epoch == journal.len()`.
+    /// The latest view a replay produced or confirmed (`open`'s cold
+    /// solve, a passing audit's replay, a committed recovery) — journal
+    /// replay starts here. Its own copy, never shared with `view`.
+    pub checkpoint: View,
+    /// The checkpoint's epoch.
+    pub checkpoint_epoch: u64,
+    /// The ops applied after the checkpoint (the replay window);
+    /// `epoch == checkpoint_epoch + journal.len()`.
     pub journal: Vec<DeltaOp>,
     /// The committed incremental view.
     pub view: View,
@@ -109,7 +122,15 @@ pub(crate) struct Session {
 impl Session {
     /// The session's current epoch (applied-delta count).
     pub fn epoch(&self) -> u64 {
-        self.journal.len() as u64
+        self.checkpoint_epoch + self.journal.len() as u64
+    }
+
+    /// Make `view`, a replay's view of the current epoch, the checkpoint,
+    /// and drop the window it covers.
+    pub fn set_checkpoint(&mut self, view: View) {
+        self.checkpoint_epoch = self.epoch();
+        self.checkpoint = view;
+        self.journal.clear();
     }
 
     /// The literal cold request whose solve is specified byte-identical
@@ -295,10 +316,10 @@ impl SessionTable {
         self.lock().sessions.len()
     }
 
-    /// Total journal length across live sessions: the `stats`
-    /// `sessions_journal_ops` gauge — what a full resync replay of every
-    /// open session would cost. Lock order is table → session, the same
-    /// direction as every other path (never reversed).
+    /// Total journal window length across live sessions: the `stats`
+    /// `sessions_journal_ops` gauge — the ops a resync of every open
+    /// session would replay from its checkpoint. Lock order is table →
+    /// session, the same direction as every other path (never reversed).
     pub fn journal_ops(&self) -> u64 {
         let inner = self.lock();
         inner
@@ -340,8 +361,8 @@ impl SessionTable {
         SESSION_RESYNCS.inc();
     }
 
-    /// Count one divergence audit (`failed` when the cold replay
-    /// disagreed with the warm view).
+    /// Count one divergence audit (`failed` when the replay disagreed
+    /// with the warm view).
     pub(crate) fn note_audit(&self, failed: bool) {
         self.counters.audits.fetch_add(1, Ordering::Relaxed);
         DIVERGENCE_AUDITS.inc();
@@ -511,14 +532,16 @@ mod tests {
         });
         req.tree = Some(vec![EdgeId(0), EdgeId(1)]);
         req.canon = false;
+        let view = View {
+            req,
+            payload: "p".into(),
+            converged: vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]],
+        };
         Session {
-            base: req.clone(),
+            checkpoint: view.clone(),
+            checkpoint_epoch: 0,
             journal: Vec::new(),
-            view: View {
-                req,
-                payload: "p".into(),
-                converged: vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]],
-            },
+            view,
             dirty: false,
         }
     }

@@ -40,7 +40,8 @@ fn metrics_method_exposes_registry_counters_once_installed() {
     let _ = r.handle_line(&line);
     let _ = r.handle_line(&line);
     // Session traffic so the session gauge/counters register too:
-    // one open, two deltas (audit_every=2 fires once), one resync.
+    // one open, two deltas (audit_every=2 fires once and replays both),
+    // one resync (an empty window after the audit's checkpoint).
     r.set_session_config(ndg_serve::SessionConfig {
         audit_every: 2,
         max_sessions: 8,
@@ -79,6 +80,7 @@ fn metrics_method_exposes_registry_counters_once_installed() {
         ";serve_session_resyncs=1;",
         ";serve_divergence_audits=1;",
         ";serve_divergence_audits_failed=0;",
+        ";serve_session_replayed_solves=2;",
     ] {
         assert!(payload.contains(field), "missing {field}: {payload}");
     }
