@@ -20,6 +20,17 @@
 //! ids, mis-sized subsidy vectors, wrong path count). Those requests
 //! flow through the literal pipeline unchanged — same bytes as a
 //! `canon=0` request — so error diagnostics keep their original labels.
+//!
+//! [`CanonMemo`] keys each outcome on the request's **literal body**, its
+//! [`Request::canonical_body`] text: FNV-1a of the body picks the entry,
+//! and the stored body must match byte for byte. A stateless line in the
+//! fast form [`Request::serialize`] writes — `ndg1;id=…`, then any of
+//! `deadline_ms=`, `trace=1`, `trace_id=` in that order, then the body —
+//! already carries that text after its header, so the router probes the
+//! memo with it before parsing anything. A stored rewrite answers the
+//! line unparsed. A miss, a declined rewrite, `canon=0` and every other
+//! line shape are parsed, and [`CanonMemo::lookup`] probes the memo with
+//! the re-serialized body.
 
 use crate::codec::{fmt_edge_ids, fmt_f64, Method, Request, WireGame};
 use ndg_canon::{canonicalize_with, Attachments, Instance, Relabeling};
@@ -113,8 +124,9 @@ pub struct CanonOutcome {
 
 /// A small sharded memo from *literal body* to canonicalization outcome:
 /// replaying an already-seen request line (the dominant warm-cache case)
-/// costs one serialization and a map probe instead of a full
-/// partition-refinement search — and declined searches (including the
+/// costs a map probe instead of a full partition-refinement search (and
+/// no parse or serialization either, for a line in the fast form; see the
+/// module docs) — and declined searches (including the
 /// budget-tripping adversarial ones) are memoized too, so repeats of a
 /// pathological instance pay the search once per eviction, not per
 /// request. Entries verify the stored literal body, so a 64-bit key
@@ -165,63 +177,79 @@ impl CanonMemo {
     /// way).
     pub fn lookup(&self, req: &Request) -> CanonOutcome {
         let literal_body = req.canonical_body();
-        if self.cap_per_shard == 0 {
-            M_MEMO_MISSES.inc();
-            let canon = canonicalize_request(req).map(|c| {
-                let body = c.req.canonical_body();
-                (c, body)
-            });
+        if let Some(canon) = self.probe(&literal_body) {
+            M_MEMO_HITS.inc();
             return CanonOutcome {
                 literal_body,
                 canon,
             };
-        }
-        let key = crate::codec::fnv1a64(literal_body.as_bytes());
-        let shard = &self.shards[(key as usize) & (MEMO_SHARDS - 1)];
-        {
-            let mut shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.clock += 1;
-            let clock = shard.clock;
-            if let Some(entry) = shard.map.get_mut(&key) {
-                if entry.literal_body == literal_body {
-                    entry.stamp = clock;
-                    M_MEMO_HITS.inc();
-                    return CanonOutcome {
-                        literal_body,
-                        canon: entry.canon.clone(),
-                    };
-                }
-            }
         }
         M_MEMO_MISSES.inc();
         let canon = canonicalize_request(req).map(|c| {
             let body = c.req.canonical_body();
             (c, body)
         });
-        let mut guard = shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.clock += 1;
-        let stamp = guard.clock;
-        if guard.map.len() >= self.cap_per_shard && !guard.map.contains_key(&key) {
-            if let Some((&victim, _)) = guard.map.iter().min_by_key(|(_, e)| e.stamp) {
-                guard.map.remove(&victim);
+        if self.cap_per_shard > 0 {
+            let key = crate::codec::fnv1a64(literal_body.as_bytes());
+            let mut guard = self.shard(key);
+            guard.clock += 1;
+            let stamp = guard.clock;
+            if guard.map.len() >= self.cap_per_shard && !guard.map.contains_key(&key) {
+                if let Some((&victim, _)) = guard.map.iter().min_by_key(|(_, e)| e.stamp) {
+                    guard.map.remove(&victim);
+                }
             }
+            guard.map.insert(
+                key,
+                MemoEntry {
+                    literal_body: literal_body.clone(),
+                    canon: canon.clone(),
+                    stamp,
+                },
+            );
         }
-        guard.map.insert(
-            key,
-            MemoEntry {
-                literal_body: literal_body.clone(),
-                canon: canon.clone(),
-                stamp,
-            },
-        );
         CanonOutcome {
             literal_body,
             canon,
         }
+    }
+
+    /// The memoized canonical rewrite of `literal_body`, counted as a
+    /// memo hit. `None`, counted as nothing, on a miss and for a body
+    /// whose canonicalization declined: the caller resolves those through
+    /// [`lookup`](Self::lookup), which counts them once.
+    pub(crate) fn rewrite_of(&self, literal_body: &str) -> Option<(CanonRequest, String)> {
+        let rewrite = self.probe(literal_body).flatten()?;
+        M_MEMO_HITS.inc();
+        Some(rewrite)
+    }
+
+    /// The memo's keying: FNV-1a of the literal body picks the entry, and
+    /// the stored body must equal `literal_body`, so a 64-bit collision
+    /// is a miss. A hit refreshes the entry's recency and returns its
+    /// outcome (`None` inside for a declined canonicalization); a miss,
+    /// or a disabled memo, returns `None`.
+    fn probe(&self, literal_body: &str) -> Option<Option<(CanonRequest, String)>> {
+        if self.cap_per_shard == 0 {
+            return None;
+        }
+        let key = crate::codec::fnv1a64(literal_body.as_bytes());
+        let mut shard = self.shard(key);
+        shard.clock += 1;
+        let clock = shard.clock;
+        let entry = shard
+            .map
+            .get_mut(&key)
+            .filter(|e| e.literal_body == literal_body)?;
+        entry.stamp = clock;
+        Some(entry.canon.clone())
+    }
+
+    /// The locked shard that owns `key`.
+    fn shard(&self, key: u64) -> std::sync::MutexGuard<'_, MemoShard> {
+        self.shards[(key as usize) & (MEMO_SHARDS - 1)]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -456,6 +484,28 @@ mod tests {
         let enf = format!("cost=1;b={}", canon_b.join(","));
         let back = unapply_payload(Method::Enforce, &c.map, &enf);
         assert_eq!(back, "cost=1;b=0.1,0,7e-3");
+    }
+
+    #[test]
+    fn memo_serves_stored_rewrites_by_literal_body() {
+        let memo = CanonMemo::new(64);
+        let r = req("ndg1;id=a;method=certify;tree=0,1;game=broadcast:3:0:0/1/1,1/2/2,2/0/4");
+        let body = r.canonical_body();
+        assert!(
+            memo.rewrite_of(&body).is_none(),
+            "a miss before the first lookup"
+        );
+        let stored = memo.lookup(&r).canon.expect("mappable");
+        let (c, canon_body) = memo.rewrite_of(&body).expect("a hit after it");
+        assert_eq!((c.req, canon_body), (stored.0.req, stored.1));
+        // A declined canonicalization is stored but serves no rewrite.
+        let declined = req("ndg1;id=x;method=certify;tree=90;game=broadcast:2:0:0/1/1");
+        assert!(memo.lookup(&declined).canon.is_none());
+        assert!(memo.rewrite_of(&declined.canonical_body()).is_none());
+        // A disabled memo stores nothing.
+        let off = CanonMemo::new(0);
+        assert!(off.lookup(&r).canon.is_some());
+        assert!(off.rewrite_of(&body).is_none());
     }
 
     #[test]

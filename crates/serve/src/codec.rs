@@ -1015,6 +1015,14 @@ pub(crate) fn valid_id(id: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
+/// Take a leading `key=value;` field off `rest` and return its value;
+/// `None`, leaving `rest` alone, if the next field is not `key=`.
+fn strip_field<'a>(rest: &mut &'a str, key: &str) -> Option<&'a str> {
+    let (value, tail) = rest.strip_prefix(key)?.strip_prefix('=')?.split_once(';')?;
+    *rest = tail;
+    Some(value)
+}
+
 fn parse_state_paths(s: &str) -> Result<Vec<Vec<EdgeId>>, WireError> {
     s.split('|')
         .map(|path| {
@@ -1406,6 +1414,12 @@ impl Request {
     /// Canonical request line (fixed field order; present fields only).
     /// The volatile `deadline_ms`, `trace`, and `trace_id` ride next to
     /// `id`, outside the canonical body.
+    ///
+    /// This is the router's **fast form**: `ndg1;id=…`, the volatile
+    /// fields in that order, then [`canonical_body`](Self::canonical_body)
+    /// verbatim. A stateless line in this form whose body the router has
+    /// canonicalized before is answered without being parsed (see
+    /// [`crate::canon`]).
     pub fn serialize(&self) -> String {
         let mut head = format!("ndg1;id={}", self.id);
         if let Some(ms) = self.deadline_ms {
@@ -1418,6 +1432,52 @@ impl Request {
             head.push_str(&format!(";trace_id={t}"));
         }
         format!("{head};{}", self.canonical_body())
+    }
+
+    /// Split a line in the fast form [`serialize`](Self::serialize)
+    /// writes into its header and its body text, without parsing the
+    /// body. The header comes back as a request carrying only `id`,
+    /// `method` and the volatile fields, read with the parser's own
+    /// checks. `None` unless the body's method is one the canonical
+    /// pipeline serves (`enforce`, `dynamics`, `pos`, `aon`, `certify`)
+    /// and the body does not opt out with `canon=0`.
+    ///
+    /// The body is not validated: the caller must match it against a
+    /// body [`canonical_body`](Self::canonical_body) wrote. For such a
+    /// body, [`parse`](Self::parse) of the whole line returns this header
+    /// and a request with that same canonical body.
+    pub(crate) fn split_fast_form(line: &str) -> Option<(Request, &str)> {
+        let mut rest = line.strip_prefix("ndg1;")?;
+        let id = strip_field(&mut rest, "id").filter(|id| valid_id(id))?;
+        let deadline_ms = match strip_field(&mut rest, "deadline_ms") {
+            Some(v) => Some(parse_u64("deadline_ms", v).ok()?),
+            None => None,
+        };
+        let trace = match strip_field(&mut rest, "trace") {
+            Some("1") => true,
+            Some(_) => return None,
+            None => false,
+        };
+        let trace_id = match strip_field(&mut rest, "trace_id") {
+            Some(v) => Some(parse_u64("trace_id", v).ok()?),
+            None => None,
+        };
+        let body = rest;
+        let method = strip_field(&mut rest, "method").and_then(|m| Method::parse(m).ok())?;
+        let served = matches!(
+            method,
+            Method::Enforce | Method::Dynamics | Method::Pos | Method::Aon | Method::Certify
+        );
+        if !served || rest.starts_with("canon=0") {
+            return None;
+        }
+        let head = Request {
+            deadline_ms,
+            trace,
+            trace_id,
+            ..Request::new(id, method)
+        };
+        Some((head, body))
     }
 
     /// The canonical body — everything except the correlation id, with
@@ -1700,6 +1760,51 @@ mod tests {
         assert_eq!(other.cache_key(), req.cache_key());
         other.rounds = Some(501);
         assert_ne!(other.cache_key(), req.cache_key());
+    }
+
+    #[test]
+    fn fast_form_splits_serialized_lines_into_the_parsed_header_and_body() {
+        let lines = crate::workload::build_workload(crate::workload::WorkloadSpec {
+            requests: 40,
+            distinct: 20,
+            seed: 24,
+            isomorphs: 2,
+        });
+        for (i, line) in lines.iter().enumerate() {
+            let mut req = Request::parse(line).unwrap();
+            req.deadline_ms = (i % 2 == 0).then_some(i as u64);
+            req.trace = i % 3 == 0;
+            req.trace_id = (i % 4 == 0).then_some(7);
+            let line = req.serialize();
+            let (head, body) = Request::split_fast_form(&line).expect("serialized line");
+            assert_eq!(body, req.canonical_body());
+            assert_eq!(
+                (
+                    head.id,
+                    head.method,
+                    head.deadline_ms,
+                    head.trace,
+                    head.trace_id
+                ),
+                (req.id, req.method, req.deadline_ms, req.trace, req.trace_id)
+            );
+        }
+        let tail = "tree=0;game=broadcast:2:0:0/1/1";
+        let body = format!("method=certify;{tail}");
+        assert!(Request::split_fast_form(&format!("ndg1;id=a;{body}")).is_some());
+        for line in [
+            format!("ndg1;{body};id=a"),
+            format!("ndg1;id=a;trace=0;{body}"),
+            format!("ndg1;id=a;trace=1;deadline_ms=5;{body}"),
+            format!("ndg1;id=a;deadline_ms=-5;{body}"),
+            format!("ndg1;id=a b;{body}"),
+            format!("ndg1;id=a;method=certify;canon=0;{tail}"),
+            format!("ndg1;id=a;method=open;{tail}"),
+            "ndg1;id=a;method=stats;x=1".to_string(),
+            "ndg1;id=a;method=enforce".to_string(),
+        ] {
+            assert!(Request::split_fast_form(&line).is_none(), "{line}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! policy and a shared [`WorkspacePool`] of Dijkstra scratch. A request
 //! line flows parse → cache probe → engine dispatch → canonical payload,
 //! and [`Router::handle_batch`] fans a whole batch out over the executor
-//! with one pooled workspace per worker.
+//! with one pooled workspace per worker. A stateless line in the fast
+//! form [`Request::serialize`] writes skips the parse when the
+//! canonicalization memo already holds its body (see [`crate::canon`]).
 //!
 //! **Determinism contract** (the serving analogue of E11): the payload of
 //! a response depends only on the request's canonical body. Engines that
@@ -426,16 +428,63 @@ impl Router {
 
     fn handle_with(&self, line: &str, ws: &mut DijkstraWorkspace) -> String {
         let t0 = self.clock.now_us();
+        // Fast form: a stateless line as `Request::serialize` writes it,
+        // whose body the memo holds with a canonical rewrite, is answered
+        // from its header and that rewrite without being parsed. The body
+        // is the literal body parse would rebuild. Any other line, a memo
+        // miss and a declined rewrite take the parse path below.
+        if self.canon {
+            if let Some((head, body)) = Request::split_fast_form(line) {
+                let mut laps = self.laps(t0, head.trace);
+                laps.lap(STAGE_PARSE);
+                if let Some(rewrite) = self.memo.rewrite_of(body) {
+                    laps.lap(STAGE_CANON);
+                    return self.traced(&head, t0, laps, |laps| {
+                        self.answer(&head, body, Some(&rewrite), ws, laps)
+                    });
+                }
+            }
+        }
         let req = match Request::parse(line) {
             Ok(req) => req,
             // Parse failures carry no `trace=` to honour and no key to
             // attribute: plain error, no stage echo.
             Err(e) => return err_line(recovered_id(line), &e),
         };
-        // One trace id per request, assigned here at parse: the client's
-        // wire value wins (and is echoed back as a `trace_id=` header);
-        // otherwise a process-unique id is allocated. The thread-local
-        // context carries (recorder, trace) into the engines — and across
+        let laps = self.laps(t0, req.trace);
+        self.traced(&req, t0, laps, |laps| {
+            laps.lap(STAGE_PARSE);
+            self.respond(&req, ws, laps)
+        })
+    }
+
+    /// Stage laps from `t0`, timed if the request asked for a trace, the
+    /// slow ring is armed, or a recorder or the registry is installed.
+    fn laps(&self, t0: u64, trace: bool) -> Laps<'_> {
+        Laps {
+            clock: &*self.clock,
+            last: t0,
+            stage_us: [0; 7],
+            on: trace
+                || self.log_slow_us.is_some()
+                || self.recorder.is_some()
+                || ndg_obs::installed(),
+        }
+    }
+
+    /// Answer `req` through `answer` under its trace id, then
+    /// [`finish`](Self::finish) the line.
+    fn traced(
+        &self,
+        req: &Request,
+        t0: u64,
+        mut laps: Laps<'_>,
+        answer: impl FnOnce(&mut Laps<'_>) -> (String, u64),
+    ) -> String {
+        // One trace id per request: the client's wire value wins (and is
+        // echoed back as a `trace_id=` header); otherwise a
+        // process-unique id is allocated. The thread-local context
+        // carries (recorder, trace) into the engines — and across
         // executor workers — so sub-events land on the same trace.
         let trace_id = match (&self.recorder, req.trace_id) {
             (_, Some(t)) => t,
@@ -446,18 +495,8 @@ impl Router {
             .recorder
             .as_ref()
             .map(|r| ndg_obs::events::set_current(Arc::clone(r), trace_id));
-        let mut laps = Laps {
-            clock: &*self.clock,
-            last: t0,
-            stage_us: [0; 7],
-            on: req.trace
-                || self.log_slow_us.is_some()
-                || self.recorder.is_some()
-                || ndg_obs::installed(),
-        };
-        laps.lap(STAGE_PARSE);
-        let (resp, key) = self.respond(&req, ws, &mut laps);
-        self.finish(&req, resp, t0, laps, key, trace_id)
+        let (resp, key) = answer(&mut laps);
+        self.finish(req, resp, t0, laps, key, trace_id)
     }
 
     /// Common post-processing of every parsed request: the `write` lap
@@ -595,9 +634,28 @@ impl Router {
                 canon: None,
             }
         };
-        let (solve_req, map, body) = match &outcome.canon {
+        // `canon` covers body serialization plus the memo/refinement work.
+        laps.lap(STAGE_CANON);
+        self.answer(req, &outcome.literal_body, outcome.canon.as_ref(), ws, laps)
+    }
+
+    /// The stateless pipeline after canonicalization: key, probe the
+    /// result cache, solve on a miss and map the answer back. `rewrite`
+    /// is the canonical rewrite and its body (`None`: the literal
+    /// pipeline solves `req` under `literal_body`, the request's own
+    /// canonical body). Only `req`'s id, method and deadline are read
+    /// when a rewrite is given.
+    fn answer(
+        &self,
+        req: &Request,
+        literal_body: &str,
+        rewrite: Option<&(crate::canon::CanonRequest, String)>,
+        ws: &mut DijkstraWorkspace,
+        laps: &mut Laps<'_>,
+    ) -> (String, u64) {
+        let (solve_req, map, body) = match rewrite {
             Some((c, canon_body)) => (&c.req, Some(&c.map), canon_body.as_str()),
-            None => (req, None, outcome.literal_body.as_str()),
+            None => (req, None, literal_body),
         };
         // Map a (canonical-space) `ok` payload back into the request's
         // own labels; the identity for the literal pipeline.
@@ -605,13 +663,11 @@ impl Router {
             Some(m) => crate::canon::unapply_payload(req.method, m, payload),
             None => payload.to_string(),
         };
-        // `canon` covers body serialization plus the memo/refinement work.
-        laps.lap(STAGE_CANON);
         let key = crate::codec::fnv1a64(body.as_bytes());
         // An isomorphism hit is one mediated by canonicalization: the
         // request's own bytes differ from the canonical form it keyed
         // under.
-        let iso = || map.is_some() && body != outcome.literal_body;
+        let iso = || map.is_some() && body != literal_body;
         let probed = self.cache.get_tagged(key, body, iso);
         laps.lap(STAGE_CACHE);
         if let Some((payload, is_err)) = probed {

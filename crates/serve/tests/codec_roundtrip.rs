@@ -6,6 +6,7 @@ use ndg_graph::{generators, kruskal, NodeId};
 use ndg_serve::codec::{
     fmt_edge_ids, fmt_f64, parse_edge_set, parse_floats, Method, Request, WireGame, WireOrder,
 };
+use ndg_serve::{build_workload, canonicalize_request, WorkloadSpec};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -139,6 +140,46 @@ fn full_requests_round_trip_and_key_ignores_id_only() {
         let mut renamed = req.clone();
         renamed.id = "other".into();
         assert_eq!(renamed.cache_key(), req.cache_key());
+    }
+}
+
+/// The invariant the router's fast form rests on: a serialized request is
+/// `ndg1;id=…`, its volatile header, `;`, then its canonical body
+/// verbatim, and parsing that line rebuilds the same canonical body,
+/// floats included (`fmt_f64` writes the shortest form that parses back
+/// to the same bits).
+#[test]
+fn serialized_lines_are_the_header_then_the_canonical_body() {
+    for (seed, isomorphs) in [(1, 1), (2, 4), (9001, 4)] {
+        let lines = build_workload(WorkloadSpec {
+            requests: 30 * isomorphs,
+            distinct: 30,
+            seed,
+            isomorphs,
+        });
+        for (i, line) in lines.iter().enumerate() {
+            let parsed = Request::parse(line).unwrap();
+            let rewrite = canonicalize_request(&parsed).expect("workload instances canonicalize");
+            for mut req in [parsed, rewrite.req] {
+                req.deadline_ms = (i % 2 == 1).then_some(i as u64);
+                req.trace = i % 3 == 1;
+                req.trace_id = (i % 5 == 2).then_some(u64::MAX - i as u64);
+                let mut header = String::new();
+                if let Some(ms) = req.deadline_ms {
+                    header.push_str(&format!(";deadline_ms={ms}"));
+                }
+                if req.trace {
+                    header.push_str(";trace=1");
+                }
+                if let Some(t) = req.trace_id {
+                    header.push_str(&format!(";trace_id={t}"));
+                }
+                let body = req.canonical_body();
+                let line = req.serialize();
+                assert_eq!(line, format!("ndg1;id={}{header};{body}", req.id));
+                assert_eq!(Request::parse(&line).unwrap().canonical_body(), body);
+            }
+        }
     }
 }
 
