@@ -14,7 +14,9 @@
 //! request that does not carry its own `deadline_ms=`), `--max-inflight N`
 //! (admission gate: excess requests are shed with
 //! `err;code=overloaded;retry_ms=…`), `--idle-timeout-ms MS` (reap
-//! connections that stall mid-frame).
+//! connections that stall mid-frame, silent or drip-feeding, between one
+//! and two windows after their last complete line; without it, reads
+//! block until bytes arrive, and `ServerHandle::stop` wakes them).
 //!
 //! Session flags: `--audit-every N` (on every Nth committed session
 //! delta, replay the journal window since the session's checkpoint and

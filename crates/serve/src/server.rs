@@ -18,7 +18,8 @@
 //! * per-connection **idle read timeouts** reap slow-loris peers: the
 //!   framing state survives partial reads, a blank line
 //!   counts as a keep-alive, and a connection that makes no framing
-//!   progress for the idle window is closed without a response;
+//!   progress (no complete line) for the idle window is closed without a
+//!   response, whether its peer is silent or drip-feeds a line;
 //! * **graceful drain**: once the shutdown flag is set, already-buffered
 //!   complete lines are processed and answered as a final batch, then the
 //!   connection closes; the accept loop stops taking new connections;
@@ -26,8 +27,13 @@
 //!   ([`ConnEnd`]) and counted in the router's [`ConnStats`], surfaced by
 //!   `method=stats`.
 //!
-//! The TCP server accepts on a non-blocking listener polled against a
-//! shutdown flag, and spawns one OS thread per connection — the
+//! Every TCP thread blocks in the kernel until it has work: the accept
+//! thread in `accept`, each connection in `read`, with the idle window as
+//! its socket read timeout (none without one). [`ServerHandle::stop`]
+//! sets the shutdown flag and wakes the accept thread with one loopback
+//! connect; the accept thread then shuts down the read half of every live
+//! connection, so each blocked read returns EOF and drains. The server
+//! spawns one OS thread per connection — the
 //! parallelism *within* a batch comes from the router's executor, so a
 //! single greedy connection already saturates the configured workers,
 //! while multiple connections interleave at batch granularity and share
@@ -36,9 +42,9 @@
 use crate::codec::{err_line, WireError};
 use crate::router::{recovered_id, Router};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,11 +54,6 @@ pub const MAX_BATCH: usize = 64;
 /// Longest accepted request line (bytes); longer lines are answered with a
 /// `too_large` error and the connection keeps going.
 pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
-
-/// Socket read poll interval: connections block on reads at most this
-/// long before re-checking the shutdown flag and the idle clock, so
-/// `ServerHandle::stop` cannot hang behind a silent peer.
-const READ_POLL: Duration = Duration::from_millis(20);
 
 /// Default `retry_ms` hint attached to shed responses.
 pub const DEFAULT_RETRY_MS: u64 = 50;
@@ -196,10 +197,13 @@ impl Gate {
 /// plain blocking loop (no gate, no timeouts, no drain flag).
 #[derive(Debug, Default, Clone)]
 pub struct ServeOptions {
-    /// Reap the connection after this long without framing progress.
-    /// Requires the underlying reader to time out (the TCP path sets a
-    /// short socket read timeout); a reader that blocks forever can only
-    /// be reaped at its next wakeup.
+    /// Reap the connection after this long without framing progress (a
+    /// complete line; blank keep-alive lines count). The idle clock is
+    /// checked after every read that ends no line, so a drip-fed line
+    /// cannot hold the connection. The TCP path sets this window as the
+    /// socket read timeout, so a silent peer is reaped between one and two
+    /// windows after its last complete line; a reader that blocks forever
+    /// can only be reaped at its next read.
     pub idle_timeout: Option<Duration>,
     /// Admission gate shared across connections; `None` admits all.
     pub gate: Option<Arc<Gate>>,
@@ -277,113 +281,94 @@ fn oversize_slot(st: &mut FrameState) -> Framed {
     Framed::Oversized(prefix)
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Consume bytes up to and including the next newline. On a read
-/// timeout the progress so far is kept (the caller stays in discarding
-/// mode) and the timeout error is surfaced.
-fn discard_to_newline(reader: &mut impl BufRead) -> io::Result<()> {
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(()); // EOF ends the line
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                reader.consume(i + 1);
-                return Ok(());
-            }
-            None => {
-                let len = buf.len();
-                reader.consume(len);
-            }
-        }
-    }
-}
-
-/// Read one batch incrementally: tolerates read timeouts (keeping
-/// partial-line state in `st`), honours the idle clock and the shutdown
-/// flag, and guards line length.
+/// Read one batch, one step at a time. A step takes one line, or the
+/// buffered part of one, from `reader`; the partial line survives in `st`
+/// across steps and read timeouts. The shutdown flag is checked after
+/// every step, and the idle clock after every step that ends no line, so
+/// neither a silent peer nor one that drip-feeds a line can hold the
+/// connection past the idle window or keep `stop` waiting.
 fn read_batch(
     reader: &mut impl BufRead,
     st: &mut FrameState,
     opts: &ServeOptions,
 ) -> io::Result<BatchRead> {
+    let draining = || {
+        opts.shutdown
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::SeqCst))
+    };
     let mut batch = Vec::new();
     let mut last_progress = Instant::now();
     loop {
-        if let Some(flag) = &opts.shutdown {
-            if flag.load(Ordering::SeqCst) {
-                return Ok(BatchRead::Drained(batch));
-            }
+        if draining() {
+            return Ok(BatchRead::Drained(batch));
         }
-        if st.discarding {
-            match discard_to_newline(reader) {
-                Ok(()) => st.discarding = false,
-                Err(e) if is_timeout(&e) => {
-                    if let Some(t) = opts.idle_timeout {
-                        if last_progress.elapsed() >= t {
-                            return Ok(BatchRead::Reaped);
-                        }
-                    }
-                    continue;
+        let (len, eol) = match reader.fill_buf() {
+            Ok([]) => {
+                // EOF. After `ServerHandle::stop` shut the read half down
+                // it is a drain, and a partial line is dropped; from the
+                // client, a trailing line without newline still counts.
+                if draining() {
+                    return Ok(BatchRead::Drained(batch));
                 }
-                Err(e) => return Err(e),
-            }
-        }
-        // take() guards a single line's length so one client cannot
-        // exhaust memory; an over-limit line keeps a short prefix (for id
-        // recovery), is answered with `too_large`, and the rest is
-        // discarded to keep the framing alive.
-        let room = (MAX_LINE_BYTES + 1 - st.line.len()) as u64;
-        match io::Read::take(&mut *reader, room).read_until(b'\n', &mut st.line) {
-            Ok(0) => {
-                // EOF: a trailing line without newline still counts.
-                if !st.line.is_empty() {
-                    if let Some(f) = finish_line(st) {
-                        batch.push(f);
-                    }
-                }
+                batch.extend(finish_line(st));
                 return Ok(BatchRead::Eof(batch));
             }
-            Ok(_) => {
-                if st.line.last() == Some(&b'\n') {
-                    last_progress = Instant::now(); // blank lines keep alive too
-                    match finish_line(st) {
-                        Some(f) => {
-                            batch.push(f);
-                            if batch.len() >= MAX_BATCH {
-                                return Ok(BatchRead::Batch(batch));
-                            }
-                        }
-                        None => {
-                            if !batch.is_empty() {
-                                return Ok(BatchRead::Batch(batch));
-                            }
-                        }
-                    }
-                } else if st.line.len() > MAX_LINE_BYTES {
-                    last_progress = Instant::now();
-                    batch.push(oversize_slot(st));
+            Ok(chunk) => {
+                let (len, eol) = match chunk.iter().position(|&b| b == b'\n') {
+                    Some(i) => (i + 1, true),
+                    None => (chunk.len(), false),
+                };
+                if !st.discarding {
+                    st.line.extend_from_slice(&chunk[..len]);
                 }
-                // A short read without newline (EOF mid-line) loops and
-                // resolves at the next read.
+                (len, eol)
             }
-            Err(e) if is_timeout(&e) => {
-                // Partial bytes are already in `st.line`; check the idle
-                // clock and poll again.
-                if let Some(t) = opts.idle_timeout {
-                    if last_progress.elapsed() >= t {
-                        return Ok(BatchRead::Reaped);
-                    }
-                }
+            // A read timeout or a signal: no bytes, only the clock moved.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                (0, false)
             }
             Err(e) => return Err(e),
+        };
+        reader.consume(len);
+        let ended_a_line = if st.discarding {
+            // The rest of an oversized line, dropped up to its newline.
+            st.discarding = !eol;
+            eol
+        } else if st.line.len() > MAX_LINE_BYTES + usize::from(eol) {
+            // One length check guards memory: an over-limit line keeps a
+            // short prefix (for id recovery), is answered `too_large`, and
+            // the rest of it is discarded to keep the framing alive.
+            batch.push(oversize_slot(st));
+            st.discarding = !eol;
+            true
+        } else if eol {
+            match finish_line(st) {
+                Some(f) => batch.push(f),
+                None if !batch.is_empty() => return Ok(BatchRead::Batch(batch)),
+                None => {} // a blank keep-alive line
+            }
+            true
+        } else {
+            false
+        };
+        if ended_a_line {
+            last_progress = Instant::now();
+            if batch.len() >= MAX_BATCH {
+                return Ok(BatchRead::Batch(batch));
+            }
+        } else if opts
+            .idle_timeout
+            .is_some_and(|t| last_progress.elapsed() >= t)
+        {
+            return Ok(BatchRead::Reaped);
         }
     }
 }
@@ -548,24 +533,22 @@ impl Default for TcpOptions {
 /// A running TCP server (accept loop + per-connection threads).
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves the `:0` ephemeral port).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Graceful drain: stop accepting, let every connection finish its
-    /// buffered complete lines, and join all threads.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+    /// buffered complete lines, and join all threads (dropping the handle
+    /// does the same).
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
@@ -573,9 +556,24 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
+            // The accept thread blocks in `accept`: one connect wakes it,
+            // and it sees the flag.
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = h.join();
         }
     }
+}
+
+/// Where `stop`'s wake-up connect goes: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) mapped to its family's loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn classify_io_end(stats: &ConnStats, e: &io::Error) {
@@ -592,18 +590,13 @@ fn classify_io_end(stats: &ConnStats, e: &io::Error) {
     }
 }
 
-fn handle_connection(router: &Router, stream: TcpStream, opts: &ServeOptions) {
-    let stats = router.conn_stats().clone();
-    // The short poll timeout keeps drain/reap responsive even against a
-    // silent peer; the framing state absorbs the resulting partial reads.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            stats.errored.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    });
+fn handle_connection(router: &Router, stream: &TcpStream, opts: &ServeOptions) {
+    let stats = router.conn_stats();
+    // Reads block until bytes arrive, the idle window passes, or `stop`
+    // shuts the read half down. (A zero timeout is invalid for a socket,
+    // so a zero window reads as 1 ms.)
+    let _ = stream.set_read_timeout(opts.idle_timeout.map(|t| t.max(Duration::from_millis(1))));
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     match serve_stream_with(router, &mut reader, &mut writer, opts) {
         Ok(ConnEnd::Eof) => {
@@ -618,7 +611,7 @@ fn handle_connection(router: &Router, stream: TcpStream, opts: &ServeOptions) {
         Err(e) => {
             // A dropped connection is routine for a line service; count
             // it and move on.
-            classify_io_end(&stats, &e);
+            classify_io_end(stats, &e);
         }
     }
 }
@@ -637,7 +630,6 @@ pub fn spawn_tcp_with(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = shutdown.clone();
     let gate = topts
@@ -654,30 +646,44 @@ pub fn spawn_tcp_with(
     let accept_thread = std::thread::Builder::new()
         .name("ndg-serve-accept".into())
         .spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
+            // Each connection's worker beside a weak handle on its socket:
+            // enough to shut the read half down at drain, while a finished
+            // worker's socket still closes as soon as the worker drops it.
+            let mut workers: Vec<(JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
+            loop {
+                let accepted = listener.accept();
+                if flag.load(Ordering::SeqCst) {
+                    // `stop`'s wake-up connect, or a client that raced it:
+                    // closed unanswered, like the rest of the backlog.
+                    break;
+                }
+                match accepted {
                     Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
+                        workers.retain(|(h, _)| !h.is_finished());
+                        let stream = Arc::new(stream);
+                        let live = Arc::downgrade(&stream);
                         let router = router.clone();
                         let opts = conn_opts.clone();
                         if let Ok(h) = std::thread::Builder::new()
                             .name("ndg-serve-conn".into())
-                            .spawn(move || handle_connection(&router, stream, &opts))
+                            .spawn(move || handle_connection(&router, &stream, &opts))
                         {
-                            workers.push(h);
+                            workers.push((h, live));
                         }
-                        workers.retain(|h| !h.is_finished());
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
+                    // A real accept error (say, out of descriptors): back off.
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
-            // Drain: stop accepting (listener drops at scope end), let
-            // every connection answer its buffered lines, then join.
-            for h in workers {
+            // Drain: stop accepting (the listener drops at scope end), turn
+            // every blocked read into EOF, and let each connection answer
+            // its buffered complete lines before joining it.
+            for (_, live) in &workers {
+                if let Some(stream) = live.upgrade() {
+                    let _ = stream.shutdown(Shutdown::Read);
+                }
+            }
+            for (h, _) in workers {
                 let _ = h.join();
             }
         })?;
@@ -903,12 +909,101 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(r.conn_stats().reaped.load(Ordering::Relaxed), 1);
-        // The reaped socket is closed server-side: reads return EOF (or a
-        // reset, depending on timing).
+        // The reaped socket is closed server-side, unanswered: reads return
+        // EOF (or a reset, depending on timing), not a timeout.
         let mut buf = [0u8; 8];
         let _ = conn.set_read_timeout(Some(Duration::from_secs(2)));
-        matches!(io::Read::read(&mut conn, &mut buf), Ok(0) | Err(_));
+        match io::Read::read(&mut conn, &mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("a reaped connection must read EOF or a reset: {other:?}"),
+        }
         handle.stop();
+    }
+
+    /// One `stats` round trip on `conn`: afterwards the server has
+    /// accepted it and its worker is reading.
+    fn stats_round_trip(mut conn: &TcpStream) {
+        conn.write_all(b"ndg1;id=rt;method=stats\n\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        assert!(line.starts_with("ok;id=rt;"), "{line}");
+    }
+
+    /// Connect, make one round trip (its blank line is the last complete
+    /// line), and start a peer that sends the start of a request, then one
+    /// byte every 10 ms and never a newline, until `stop_drip` is set or
+    /// the server closes the connection.
+    fn drip_feed<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        addr: SocketAddr,
+        stop_drip: &'s AtomicBool,
+    ) {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        stats_round_trip(&conn);
+        conn.write_all(b"ndg1;id=drip;met").unwrap();
+        s.spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !stop_drip.load(Ordering::SeqCst) && Instant::now() < deadline {
+                if conn.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+    }
+
+    #[test]
+    fn tcp_reaps_a_drip_fed_line_within_two_idle_windows() {
+        let r = Arc::new(router());
+        let window = Duration::from_millis(200);
+        let handle = spawn_tcp_with(
+            r.clone(),
+            "127.0.0.1:0",
+            TcpOptions {
+                idle_timeout: Some(window),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stop_drip = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // The idle clock starts after the round trip's answer, so no
+            // earlier than `sent`.
+            let sent = Instant::now();
+            drip_feed(s, handle.addr(), &stop_drip);
+            let deadline = sent + Duration::from_secs(5);
+            while r.conn_stats().reaped.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let reaped_after = sent.elapsed();
+            stop_drip.store(true, Ordering::SeqCst);
+            assert_eq!(r.conn_stats().reaped.load(Ordering::Relaxed), 1);
+            assert!(
+                reaped_after >= window && reaped_after <= 2 * window,
+                "reaped {reaped_after:?} after the last complete line"
+            );
+        });
+        handle.stop();
+    }
+
+    #[test]
+    fn tcp_stop_does_not_wait_for_a_drip_fed_line() {
+        let r = Arc::new(router());
+        let handle = spawn_tcp(r.clone(), "127.0.0.1:0").unwrap();
+        let stop_drip = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            drip_feed(s, handle.addr(), &stop_drip);
+            std::thread::sleep(Duration::from_millis(100)); // mid-drip
+            let t0 = Instant::now();
+            handle.stop();
+            let took = t0.elapsed();
+            stop_drip.store(true, Ordering::SeqCst);
+            assert!(took < Duration::from_secs(1), "stop took {took:?}");
+        });
+        // The partial line is dropped, and the connection counts as drained.
+        let c = r.conn_stats().snapshot();
+        assert_eq!((c.drained, c.eof, c.reaped), (1, 0, 0), "{c:?}");
     }
 
     #[test]
@@ -949,12 +1044,21 @@ mod tests {
         let handle = spawn_tcp(r.clone(), "127.0.0.1:0").unwrap();
         let addr = handle.addr();
         let conn = TcpStream::connect(addr).unwrap();
-        // Ensure the server has accepted before stopping.
-        std::thread::sleep(Duration::from_millis(50));
+        // A connection still in the backlog at `stop` is closed unanswered
+        // and not counted; after a round trip this one has a worker.
+        stats_round_trip(&conn);
         handle.stop(); // drains: the idle connection closes server-side
         let drained = r.conn_stats().drained.load(Ordering::Relaxed);
         assert_eq!(drained, 1, "open connection should drain on stop");
         drop(conn);
+    }
+
+    #[test]
+    fn wake_addr_maps_an_unspecified_ip_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:4321"), "127.0.0.1:4321");
+        assert_eq!(wake("[::]:4321"), "[::1]:4321");
+        assert_eq!(wake("10.1.2.3:4321"), "10.1.2.3:4321");
     }
 
     #[test]
