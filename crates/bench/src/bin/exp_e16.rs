@@ -15,10 +15,21 @@
 //!    warm pass, so the checkpoint is still the `open` view and the timed
 //!    resync replays every delta; its replay then becomes the checkpoint.
 //!
+//! Three families: a 24-node broadcast cycle and a 12-node general game
+//! under weight patches, and `random_128`, a 128-node random broadcast
+//! instance (the shape of perfbench's `session_churn`) whose stream also
+//! fails one edge in eight. The table's `zero-mv` column is the share of
+//! warm deltas answered with `moves=0`; on the broadcast families those
+//! are the steps whose start the Lemma-2 certifier proves an equilibrium
+//! before any move engine is built.
+//!
 //! The gates, asserted on every family at full and smoke scale:
 //!
 //! * every warm session payload is **byte-identical** to its cold
 //!   re-solve;
+//! * `random_128`'s first [`SMOKE_DELTAS`] warm payloads hash to a
+//!   pinned FNV-1a digest, recorded from the engine before its
+//!   certify-first steps, so its answers stay those bytes;
 //! * the timed resync replays exactly one step per delta, and a second
 //!   resync answers the same bytes from an empty window;
 //! * an audited pass (the same stream, audit every 8th delta) answers the
@@ -35,8 +46,11 @@
 //! write.
 
 use ndg_bench::{header, row};
+use ndg_core::NetworkDesignGame;
 use ndg_exec::Executor;
-use ndg_serve::{payload_of, Router, SessionConfig};
+use ndg_graph::{generators, kruskal, NodeId, UnionFind};
+use ndg_serve::codec::fnv1a64;
+use ndg_serve::{payload_of, DeltaOp, Method, Request, Router, SessionConfig, WireGame};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::io::Write as _;
@@ -44,6 +58,24 @@ use std::time::{Duration, Instant};
 
 /// The audited pass's cadence.
 const AUDIT_EVERY: u64 = 8;
+
+/// Deltas per family under `--smoke` (64 at full scale).
+const SMOKE_DELTAS: usize = 12;
+
+/// `random_128` fails one edge in this many deltas.
+const FAIL_EVERY: usize = 8;
+
+/// FNV-1a of `random_128`'s first [`SMOKE_DELTAS`] warm payloads, each
+/// followed by a newline, as the engine answered them before session
+/// steps certified their start first.
+const RANDOM_128_DIGEST: u64 = 0x76ba_ff1e_a926_1b9f;
+
+/// One family: its `open` line and the delta stream both passes send.
+struct Family {
+    id: &'static str,
+    open: String,
+    ops: Vec<DeltaOp>,
+}
 
 struct FamilyResult {
     id: &'static str,
@@ -53,6 +85,65 @@ struct FamilyResult {
     resync_ms: f64,
     /// Steps the audited pass's audits replayed.
     replayed: u64,
+    /// Share of warm deltas answered with `moves=0`.
+    zero_move_share: f64,
+}
+
+/// A weight patch of one of `edges` edges.
+fn patch(edges: usize, rng: &mut StdRng) -> DeltaOp {
+    DeltaOp::Patch {
+        edge: rng.random_range(0..edges) as u32,
+        w: rng.random_range(1..=8u32) as f64 / 4.0,
+    }
+}
+
+/// `random_connected(128, 0.4)` as a broadcast game opened at its MST,
+/// then `deltas` weight patches with every [`FAIL_EVERY`]th delta a fail
+/// of an edge whose removal keeps the graph connected. Its own seed, so a
+/// smoke stream is a prefix of the full one.
+fn random_128(deltas: usize) -> Family {
+    const N: usize = 128;
+    let mut rng = StdRng::seed_from_u64(0xE16_0128);
+    let g = generators::random_connected(N, 0.4, &mut rng, 0.2..4.0);
+    let game = NetworkDesignGame::broadcast(g, NodeId(0)).expect("generator output is connected");
+    let mut edges: Vec<(usize, usize)> = game
+        .graph()
+        .edges()
+        .map(|(_, e)| (e.u.index(), e.v.index()))
+        .collect();
+    let connected_without = |edges: &[(usize, usize)], skip: usize| {
+        let mut uf = UnionFind::new(N);
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            if i != skip {
+                uf.union(u, v);
+            }
+        }
+        uf.set_count() == 1
+    };
+    let mut open = Request::new("o", Method::Open);
+    open.tree = Some(kruskal(game.graph()).expect("connected"));
+    open.game = Some(WireGame::from_game(&game, None));
+    let ops = (0..deltas)
+        .map(|k| {
+            if k % FAIL_EVERY == FAIL_EVERY - 1 {
+                let edge = loop {
+                    let e = rng.random_range(0..edges.len());
+                    if connected_without(&edges, e) {
+                        break e;
+                    }
+                };
+                edges.remove(edge);
+                DeltaOp::Fail { edge: edge as u32 }
+            } else {
+                patch(edges.len(), &mut rng)
+            }
+        })
+        .collect();
+    Family {
+        id: "random_128",
+        open: open.serialize(),
+        ops,
+    }
 }
 
 /// A session router: sequential, result cache on, auditing every
@@ -87,25 +178,12 @@ fn replayed_solves(router: &Router) -> u64 {
         .map_or(0, |v| v.parse().expect("counter value"))
 }
 
-fn run_family(
-    id: &'static str,
-    open_line: &str,
-    edges: usize,
-    deltas: usize,
-    rng: &mut StdRng,
-) -> FamilyResult {
-    // The seeded patch stream both session passes send.
-    let patches: Vec<(usize, f64)> = (0..deltas)
-        .map(|_| {
-            (
-                rng.random_range(0..edges),
-                rng.random_range(1..=8u32) as f64 / 4.0,
-            )
-        })
-        .collect();
+fn run_family(family: &Family) -> FamilyResult {
+    let (id, open_line, ops) = (family.id, family.open.as_str(), &family.ops);
+    let deltas = ops.len();
     let delta_line = |sid: &str, k: usize| {
-        let (edge, w) = patches[k];
-        format!("ndg1;id=d{k};method=delta;session={sid};epoch={k};delta=patch;edge={edge};w={w}")
+        let fields = ops[k].serialize_fields();
+        format!("ndg1;id=d{k};method=delta;session={sid};epoch={k};{fields}")
     };
     let router = session_router(0);
     let sid = open_session(&router, id, open_line);
@@ -126,6 +204,23 @@ fn run_family(
         cold_lines.push(router.session_cold_line(&sid).expect("session stays open"));
     }
     let warm_ms = warm.as_secs_f64() * 1e3;
+    if id == "random_128" {
+        let digest = fnv1a64(
+            warm_payloads[..SMOKE_DELTAS]
+                .iter()
+                .flat_map(|p| [p.as_str(), "\n"])
+                .collect::<String>()
+                .as_bytes(),
+        );
+        assert_eq!(
+            digest, RANDOM_128_DIGEST,
+            "{id}: the first {SMOKE_DELTAS} warm payloads changed (digest {digest:#018x})"
+        );
+    }
+    let zero_moves = warm_payloads
+        .iter()
+        .filter(|p| p.split(';').any(|f| f == "moves=0"))
+        .count();
 
     // Cold pass: the specification — every patched instance solved from
     // scratch, sequential, cache off.
@@ -199,6 +294,7 @@ fn run_family(
         cold_ms,
         resync_ms,
         replayed,
+        zero_move_share: zero_moves as f64 / deltas as f64,
     }
 }
 
@@ -213,7 +309,7 @@ fn main() {
             }
         }
     }
-    let deltas = if smoke { 12 } else { 64 };
+    let deltas = if smoke { SMOKE_DELTAS } else { 64 };
     // The replay gates read the process-wide registry.
     ndg_obs::install();
     println!(
@@ -241,11 +337,20 @@ fn main() {
     };
     let mut rng = StdRng::seed_from_u64(0xE16);
     let families = [
-        ("cycle_24", cycle24.as_str(), 24usize),
-        ("general_12", general12.as_str(), 15),
+        Family {
+            id: "cycle_24",
+            open: cycle24,
+            ops: (0..deltas).map(|_| patch(24, &mut rng)).collect(),
+        },
+        Family {
+            id: "general_12",
+            open: general12,
+            ops: (0..deltas).map(|_| patch(15, &mut rng)).collect(),
+        },
+        random_128(deltas),
     ];
 
-    let widths = [10, 7, 11, 11, 8, 10, 9];
+    let widths = [10, 7, 11, 11, 8, 10, 9, 8];
     println!(
         "{}",
         header(
@@ -256,14 +361,15 @@ fn main() {
                 "cold-s/s",
                 "ratio",
                 "resync-ms",
-                "replay/d"
+                "replay/d",
+                "zero-mv"
             ],
             &widths
         )
     );
     let mut results = Vec::new();
-    for (id, open_line, edges) in families {
-        let r = run_family(id, open_line, edges, deltas, &mut rng);
+    for family in &families {
+        let r = run_family(family);
         println!(
             "{}",
             row(
@@ -275,6 +381,7 @@ fn main() {
                     format!("{:.2}x", r.cold_ms / r.warm_ms),
                     format!("{:.2}", r.resync_ms),
                     format!("{:.2}", r.replayed as f64 / r.deltas as f64),
+                    format!("{:.2}", r.zero_move_share),
                 ],
                 &widths
             )
@@ -283,8 +390,9 @@ fn main() {
     }
     println!(
         "OK: every warm and audited session payload byte-identical to its cold \
-         re-solve ({} deltas x {} families); a resync replays the window since \
-         the latest checkpoint, each audit the {AUDIT_EVERY} ops since the last",
+         re-solve ({} deltas x {} families), random_128's first {SMOKE_DELTAS} \
+         as pinned; a resync replays the window since the latest checkpoint, \
+         each audit the {AUDIT_EVERY} ops since the last",
         deltas,
         results.len()
     );
@@ -298,22 +406,25 @@ fn main() {
         s.push_str("{\n");
         s.push_str(
             "    \"note\": \"Delta sessions: seeded patch sequences through method=delta \
-             (warm: engine starts from the previous converged state; only each delta's \
+             (warm: each step starts from the previous converged state; only each delta's \
              handle_line call is timed) vs cold re-solves of the synthesized per-epoch \
              instances (the byte-identity specification, asserted on every delta). \
              resync_ms is one replay of the journal window since the latest checkpoint; \
              with audits off that window is every delta since open. \
              replayed_solves_per_delta counts the steps the audits of a second pass \
              (audit every 8th delta) replayed: each audit replays only the ops since \
-             the previous checkpoint. Sequential executor; the warm/cold work ratio \
-             is the portable part.\",\n",
+             the previous checkpoint. zero_move_share is the share of warm deltas \
+             answered with moves=0. random_128 is a 128-node random broadcast \
+             instance whose stream fails one edge in eight. Sequential executor; the \
+             warm/cold work ratio is the portable part.\",\n",
         );
         s.push_str("    \"families\": [\n");
         for (i, r) in results.iter().enumerate() {
             s.push_str(&format!(
                 "      {{ \"id\": \"{}\", \"deltas\": {}, \"warm_deltas_per_s\": {:.0}, \
                  \"cold_solves_per_s\": {:.0}, \"cold_over_warm\": {:.2}, \
-                 \"resync_ms\": {:.2}, \"replayed_solves_per_delta\": {:.2} }}{}\n",
+                 \"resync_ms\": {:.2}, \"replayed_solves_per_delta\": {:.2}, \
+                 \"zero_move_share\": {:.2} }}{}\n",
                 r.id,
                 r.deltas,
                 r.deltas as f64 / (r.warm_ms / 1e3),
@@ -321,6 +432,7 @@ fn main() {
                 r.cold_ms / r.warm_ms,
                 r.resync_ms,
                 r.replayed as f64 / r.deltas as f64,
+                r.zero_move_share,
                 if i + 1 < results.len() { "," } else { "" }
             ));
         }

@@ -13,6 +13,7 @@ use crate::game::NetworkDesignGame;
 use crate::incremental::IncrementalDynamics;
 use crate::num::strictly_lt;
 use crate::potential::rosenthal_potential;
+use crate::recert::IncrementalCertifier;
 use crate::state::State;
 use crate::subsidy::SubsidyAssignment;
 use rand::prelude::*;
@@ -66,6 +67,11 @@ pub struct DynamicsResult {
 /// provably cannot move — reproducing the naive driver's decisions (and
 /// its potential trace, up to float tolerance) at a fraction of the work.
 ///
+/// A start that the Lemma-2 certifier ([`crate::recert`]) proves to be an
+/// equilibrium returns the engine's first-round answer (no moves, one
+/// round, the start's Φ) before any move machinery is built; any other
+/// start hands the certifier and its answer on to the engine.
+///
 /// `budget` is checked at every round boundary (one round = one full
 /// player pass, the natural chunk of work). Expiry aborts the drive with
 /// [`ndg_exec::BudgetExceeded`]; `Budget::unlimited()` never expires and
@@ -79,7 +85,26 @@ pub fn best_response_dynamics_budgeted(
     budget: &ndg_exec::Budget,
 ) -> Result<DynamicsResult, ndg_exec::BudgetExceeded> {
     let n = game.num_players();
-    let mut engine = IncrementalDynamics::new(game, initial, b);
+    let mut recert = IncrementalCertifier::new();
+    // Round 1 asks this question first; a zero-round run asks it later
+    // through `is_certified_equilibrium`.
+    let certified = if recert.adopt(game, &initial, b) && max_rounds > 0 {
+        recert.equilibrium(game, b)
+    } else {
+        None
+    };
+    if certified == Some(true) {
+        budget.check()?;
+        let phi = rosenthal_potential(game, &initial, b);
+        return Ok(DynamicsResult {
+            state: initial,
+            moves: 0,
+            rounds: 1,
+            converged: true,
+            potential_trace: vec![phi],
+        });
+    }
+    let mut engine = IncrementalDynamics::with_certifier(game, initial, b, recert, certified);
     let mut moves = 0usize;
     let mut rounds = 0usize;
     let mut trace = vec![engine.potential()];
@@ -299,6 +324,7 @@ pub fn dynamics_from_tree(
 mod tests {
     use super::*;
     use crate::equilibrium::is_equilibrium;
+    use crate::game::Player;
     use ndg_graph::{generators, kruskal, EdgeId, NodeId};
 
     #[test]
@@ -388,6 +414,126 @@ mod tests {
         assert!(res.converged);
         assert_eq!(res.moves, 0);
         assert_eq!(res.rounds, 1);
+    }
+
+    /// Random broadcast games opened at their MST, fully subsidized so
+    /// that the start is an equilibrium the Lemma-2 certifier proves.
+    fn certified_starts() -> Vec<(NetworkDesignGame, State, SubsidyAssignment)> {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(26);
+        (0..8)
+            .map(|_| {
+                let n = rng.random_range(4..12usize);
+                let g = generators::random_connected(n, 0.5, &mut rng, 0.2..3.0);
+                let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
+                let tree = kruskal(game.graph()).unwrap();
+                let (state, _) = State::from_tree(&game, &tree).unwrap();
+                let b = SubsidyAssignment::all_or_nothing(game.graph(), &tree);
+                (game, state, b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn certified_start_returns_the_first_round_answer_under_every_order() {
+        for (case, (game, state, b)) in certified_starts().into_iter().enumerate() {
+            let phi = rosenthal_potential(&game, &state, &b);
+            for order in [
+                MoveOrder::RoundRobin,
+                MoveOrder::RandomOrder(case as u64),
+                MoveOrder::MaxGain,
+            ] {
+                let unlimited = ndg_exec::Budget::unlimited();
+                let res = best_response_dynamics_budgeted(
+                    &game,
+                    state.clone(),
+                    &b,
+                    order,
+                    50,
+                    &unlimited,
+                )
+                .unwrap();
+                assert_eq!((res.moves, res.rounds, res.converged), (0, 1, true));
+                assert_eq!(res.potential_trace.len(), 1);
+                assert_eq!(res.potential_trace[0].to_bits(), phi.to_bits());
+                for i in 0..game.num_players() {
+                    assert_eq!(res.state.path(i), state.path(i), "{order:?}");
+                }
+                let naive = best_response_dynamics_naive(&game, state.clone(), &b, order, 50);
+                assert_eq!((naive.moves, naive.rounds), (0, 1), "{order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn certified_start_still_checks_the_budget() {
+        let (game, state, b) = certified_starts().swap_remove(0);
+        let budget = ndg_exec::Budget::with_deadline(std::time::Duration::ZERO);
+        let err =
+            best_response_dynamics_budgeted(&game, state, &b, MoveOrder::RoundRobin, 10, &budget)
+                .unwrap_err();
+        assert_eq!(err, ndg_exec::BudgetExceeded);
+    }
+
+    #[test]
+    fn zero_rounds_report_the_certified_verdict() {
+        let unlimited = ndg_exec::Budget::unlimited();
+        let (game, state, b) = certified_starts().swap_remove(0);
+        let res =
+            best_response_dynamics_budgeted(&game, state, &b, MoveOrder::MaxGain, 0, &unlimited)
+                .unwrap();
+        assert_eq!((res.moves, res.rounds, res.converged), (0, 0, true));
+        // Unsubsidized, the 7-cycle's path tree is no equilibrium.
+        let g = generators::cycle_graph(7, 1.0);
+        let game = NetworkDesignGame::broadcast(g, NodeId(0)).unwrap();
+        let tree: Vec<EdgeId> = (0..6).map(EdgeId).collect();
+        let (state, _) = State::from_tree(&game, &tree).unwrap();
+        let b = SubsidyAssignment::zero(game.graph());
+        let res =
+            best_response_dynamics_budgeted(&game, state, &b, MoveOrder::RoundRobin, 0, &unlimited)
+                .unwrap();
+        assert_eq!((res.moves, res.rounds, res.converged), (0, 0, false));
+    }
+
+    #[test]
+    fn general_game_start_still_runs_the_engine() {
+        // Two players across a 6-ring, both routed the long way round: no
+        // broadcast tree for Lemma 2 to certify, and both can improve.
+        let g = generators::cycle_graph(6, 1.0);
+        let game = NetworkDesignGame::new(
+            g,
+            vec![
+                Player {
+                    source: NodeId(0),
+                    terminal: NodeId(2),
+                },
+                Player {
+                    source: NodeId(1),
+                    terminal: NodeId(2),
+                },
+            ],
+        )
+        .unwrap();
+        let path = |ids: &[u32]| ids.iter().map(|&k| EdgeId(k)).collect::<Vec<_>>();
+        let state = State::new(&game, vec![path(&[5, 4, 3, 2]), path(&[0, 5, 4, 3, 2])]).unwrap();
+        let b = SubsidyAssignment::zero(game.graph());
+        let unlimited = ndg_exec::Budget::unlimited();
+        let res = best_response_dynamics_budgeted(
+            &game,
+            state.clone(),
+            &b,
+            MoveOrder::RoundRobin,
+            50,
+            &unlimited,
+        )
+        .unwrap();
+        let naive = best_response_dynamics_naive(&game, state, &b, MoveOrder::RoundRobin, 50);
+        assert!(res.moves > 0 && res.converged);
+        assert_eq!((res.moves, res.rounds), (naive.moves, naive.rounds));
+        assert_eq!(
+            res.state.established_edges(),
+            naive.state.established_edges()
+        );
     }
 
     #[test]

@@ -188,6 +188,21 @@ impl<'a> IncrementalDynamics<'a> {
     /// Build the engine over `state` (costs, potential and user lists are
     /// computed from scratch once here).
     pub fn new(game: &'a NetworkDesignGame, state: State, b: &'a SubsidyAssignment) -> Self {
+        let mut recert = IncrementalCertifier::new();
+        recert.adopt(game, &state, b);
+        Self::with_certifier(game, state, b, recert, None)
+    }
+
+    /// Build the engine around a certifier that has already tried to
+    /// adopt `state` (no second attempt is made), with its memoized
+    /// equilibrium answer for `state` if one was asked.
+    pub(crate) fn with_certifier(
+        game: &'a NetworkDesignGame,
+        state: State,
+        b: &'a SubsidyAssignment,
+        recert: IncrementalCertifier,
+        maintained_eq: Option<bool>,
+    ) -> Self {
         let g = game.graph();
         let n = game.num_players();
         let m = g.edge_count();
@@ -204,7 +219,7 @@ impl<'a> IncrementalDynamics<'a> {
             .edge_ids()
             .map(|e| residual[e.index()] / (state.usage(e) + 1) as f64)
             .collect();
-        let mut this = IncrementalDynamics {
+        IncrementalDynamics {
             game,
             b,
             phi,
@@ -227,15 +242,14 @@ impl<'a> IncrementalDynamics<'a> {
             br_lb: vec![f64::NEG_INFINITY; n],
             moves_applied: 0,
             batch: BatchCertifier::new(),
-            recert: IncrementalCertifier::new(),
-            recert_stamp: usize::MAX,
-            maintained_eq: None,
+            recert,
+            // The caller's adoption attempt was move 0's.
+            recert_stamp: 0,
+            maintained_eq,
             dropped_est_buf: Vec::new(),
             added_est_buf: Vec::new(),
             state,
-        };
-        this.try_revalidate();
-        this
+        }
     }
 
     /// The current state.

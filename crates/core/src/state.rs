@@ -5,7 +5,6 @@
 //! sum of player costs under fair sharing (Section 2).
 
 use crate::game::NetworkDesignGame;
-use ndg_graph::paths::is_simple_path;
 use ndg_graph::{EdgeId, Graph, GraphError, NodeId, RootedTree};
 use std::fmt;
 
@@ -52,7 +51,9 @@ pub struct State {
 
 impl State {
     /// Build a state from explicit per-player paths, validating each as a
-    /// simple `sᵢ → tᵢ` path.
+    /// simple `sᵢ → tᵢ` path (the test of
+    /// [`ndg_graph::paths::is_simple_path`]; an edge id outside the graph
+    /// makes the path invalid).
     pub fn new(game: &NetworkDesignGame, paths: Vec<Vec<EdgeId>>) -> Result<Self, StateError> {
         let n = game.num_players();
         if paths.len() != n {
@@ -62,15 +63,27 @@ impl State {
             });
         }
         let g = game.graph();
+        let m = g.edge_count();
+        let mut usage = vec![0u32; m];
+        // `visited[v] == i` iff player i's walk has reached node v: one
+        // array for every player, since indices never repeat.
+        let mut visited = vec![usize::MAX; g.node_count()];
         for (i, (p, player)) in paths.iter().zip(game.players()).enumerate() {
-            if !is_simple_path(g, p, player.source, player.terminal) {
-                return Err(StateError::InvalidPath { player: i });
-            }
-        }
-        let mut usage = vec![0u32; g.edge_count()];
-        for p in &paths {
+            let mut cur = player.source;
+            visited[cur.index()] = i;
             for &e in p {
+                if e.index() >= m || !g.is_endpoint(e, cur) {
+                    return Err(StateError::InvalidPath { player: i });
+                }
+                cur = g.other_endpoint(e, cur);
+                if visited[cur.index()] == i {
+                    return Err(StateError::InvalidPath { player: i });
+                }
+                visited[cur.index()] = i;
                 usage[e.index()] += 1;
+            }
+            if cur != player.terminal {
+                return Err(StateError::InvalidPath { player: i });
             }
         }
         Ok(State { paths, usage })
@@ -245,6 +258,105 @@ mod tests {
             wrong_count,
             Err(StateError::WrongPlayerCount { got: 1, want: 3 })
         ));
+    }
+
+    /// `State::new` accepts a state iff every path passes
+    /// [`is_simple_path`], and otherwise names the first failing player.
+    /// The paths are shortest paths, some broken: emptied, a repeated
+    /// node, the first or last edge dropped (a wrong start or end), an
+    /// edge swapped for a random one, or a random walk. Half the games
+    /// send every player to node 0, so valid paths share nodes.
+    #[test]
+    fn new_accepts_exactly_the_simple_paths() {
+        use ndg_graph::paths::{dijkstra, is_simple_path};
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(26);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..400 {
+            let n = rng.random_range(3..10u32);
+            let g = generators::random_connected(n as usize, 0.4, &mut rng, 0.5..2.0);
+            let m = g.edge_count() as u32;
+            let shared_terminal = rng.random_bool(0.5);
+            let players = (0..rng.random_range(2..4))
+                .map(|_| {
+                    let source = rng.random_range(1..n);
+                    let terminal = if shared_terminal {
+                        0
+                    } else {
+                        (source + rng.random_range(1..n)) % n
+                    };
+                    Player {
+                        source: NodeId(source),
+                        terminal: NodeId(terminal),
+                    }
+                })
+                .collect();
+            let game = NetworkDesignGame::new(g, players).unwrap();
+            let g = game.graph();
+            let paths: Vec<Vec<EdgeId>> = game
+                .players()
+                .iter()
+                .map(|p| {
+                    let mut path = dijkstra(g, p.source).path_to(g, p.terminal).unwrap();
+                    match rng.random_range(0..10) {
+                        0 => path.clear(),
+                        1 => {
+                            let (_, e) = g.neighbors(p.source)[0];
+                            path.splice(0..0, [e, e]);
+                        }
+                        2 => {
+                            path.remove(0);
+                        }
+                        3 => {
+                            path.pop();
+                        }
+                        4 => {
+                            let k = rng.random_range(0..path.len());
+                            path[k] = EdgeId(rng.random_range(0..m));
+                        }
+                        5 => {
+                            let mut cur = p.source;
+                            path.clear();
+                            for _ in 0..rng.random_range(1..2 * n) {
+                                let nb = g.neighbors(cur);
+                                let (next, e) = nb[rng.random_range(0..nb.len())];
+                                path.push(e);
+                                cur = next;
+                            }
+                        }
+                        _ => {}
+                    }
+                    path
+                })
+                .collect();
+            let first_bad = paths
+                .iter()
+                .zip(game.players())
+                .position(|(path, p)| !is_simple_path(g, path, p.source, p.terminal));
+            match (State::new(&game, paths), first_bad) {
+                (Ok(_), None) => accepted += 1,
+                (Err(e), Some(i)) => {
+                    assert_eq!(e, StateError::InvalidPath { player: i });
+                    rejected += 1;
+                }
+                (got, want) => panic!("State::new {got:?}, first non-simple path {want:?}"),
+            }
+        }
+        assert!(
+            accepted >= 40 && rejected >= 40,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn out_of_range_edge_id_is_an_invalid_path() {
+        let game = cycle_game(4);
+        // Player of node 1 reaches 0 over e0; player of node 2 names e9.
+        let paths = vec![vec![EdgeId(0)], vec![EdgeId(9)], vec![EdgeId(3)]];
+        assert_eq!(
+            State::new(&game, paths).unwrap_err(),
+            StateError::InvalidPath { player: 1 }
+        );
     }
 
     #[test]

@@ -99,6 +99,27 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// The edge checks shared by [`Graph::add_edge`] and [`Graph::from_edges`],
+/// in their order: endpoints in range, no self-loop, a finite
+/// non-negative weight.
+fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) -> Result<(), GraphError> {
+    for x in [u, v] {
+        if x.index() >= n {
+            return Err(GraphError::NodeOutOfRange {
+                node: x.0,
+                node_count: n,
+            });
+        }
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop(u.0));
+    }
+    if !w.is_finite() || w < 0.0 {
+        return Err(GraphError::BadWeight(w));
+    }
+    Ok(())
+}
+
 /// Compact undirected multigraph.
 ///
 /// Adjacency is stored per node as `(neighbor, edge)` pairs; edges are stored
@@ -145,31 +166,53 @@ impl Graph {
         first
     }
 
+    /// Build a graph on `n` nodes from an edge list; edge `k` of the list
+    /// gets id `k`.
+    ///
+    /// Each edge is validated exactly as [`add_edge`](Self::add_edge)
+    /// validates it, and the first bad edge returns the same error. The
+    /// result equals the `add_edge` loop's, neighbour lists included, but
+    /// every adjacency list is allocated once at its final degree.
+    pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
+    where
+        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut degree = vec![0usize; n];
+        let mut m = 0usize;
+        for (u, v, w) in edges.clone() {
+            check_edge(n, u, v, w)?;
+            degree[u.index()] += 1;
+            degree[v.index()] += 1;
+            m += 1;
+        }
+        let mut g = Graph {
+            edges: Vec::with_capacity(m),
+            adj: degree.into_iter().map(Vec::with_capacity).collect(),
+        };
+        for (u, v, w) in edges {
+            g.push_edge(u, v, w);
+        }
+        Ok(g)
+    }
+
     /// Add an undirected edge `{u, v}` with weight `w`.
     ///
     /// Rejects self-loops, out-of-range endpoints and negative/non-finite
     /// weights. Parallel edges are allowed.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> Result<EdgeId, GraphError> {
-        let n = self.node_count();
-        for x in [u, v] {
-            if x.index() >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: x.0,
-                    node_count: n,
-                });
-            }
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop(u.0));
-        }
-        if !w.is_finite() || w < 0.0 {
-            return Err(GraphError::BadWeight(w));
-        }
+        check_edge(self.node_count(), u, v, w)?;
+        Ok(self.push_edge(u, v, w))
+    }
+
+    /// Append an already validated edge.
+    fn push_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> EdgeId {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { u, v, w });
         self.adj[u.index()].push((v, id));
         self.adj[v.index()].push((u, id));
-        Ok(id)
+        id
     }
 
     /// The edge record for `e`.
@@ -309,14 +352,12 @@ impl Graph {
     /// Restrict the graph to an edge subset, keeping all nodes. Returns the
     /// new graph and the mapping from new `EdgeId` to old `EdgeId`.
     pub fn edge_subgraph(&self, edges: &[EdgeId]) -> (Graph, Vec<EdgeId>) {
-        let mut g = Graph::new(self.node_count());
-        let mut back = Vec::with_capacity(edges.len());
-        for &e in edges {
+        let list = edges.iter().map(|&e| {
             let Edge { u, v, w } = *self.edge(e);
-            g.add_edge(u, v, w).expect("subgraph edge must be valid");
-            back.push(e);
-        }
-        (g, back)
+            (u, v, w)
+        });
+        let g = Graph::from_edges(self.node_count(), list).expect("subgraph edge must be valid");
+        (g, edges.to_vec())
     }
 }
 

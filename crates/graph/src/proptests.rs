@@ -7,7 +7,7 @@
 #![cfg(test)]
 
 use crate::generators;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::mst::kruskal;
 use crate::tree::RootedTree;
 use proptest::prelude::*;
@@ -102,6 +102,65 @@ proptest! {
             let dv = sp.dist[e.v.index()];
             prop_assert!(dv <= du + e.w + 1e-9);
             prop_assert!(du <= dv + e.w + 1e-9);
+        }
+    }
+
+    /// `Graph::from_edges` equals the `add_edge` loop on random edge lists:
+    /// the same edges and per-node neighbour order, or the same error at
+    /// the first bad edge. `fault` breaks one random edge (0 leaves the
+    /// list valid) with an out-of-range node, a self-loop, a NaN or a
+    /// negative weight, and in half the cases the last edge with another
+    /// fault, so the error must come from the first.
+    #[test]
+    fn from_edges_matches_the_add_edge_loop(
+        n in 2usize..12,
+        m in 1usize..40,
+        fault in 0u32..5,
+        seed in 0u64..1_000_000
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(NodeId, NodeId, f64)> = (0..m)
+            .map(|_| {
+                let u = rng.random_range(0..n as u32);
+                let v = (u + rng.random_range(1..n as u32)) % n as u32;
+                (NodeId(u), NodeId(v), rng.random_range(0.0..4.0))
+            })
+            .collect();
+        let break_edge = |e: &mut (NodeId, NodeId, f64), fault: u32| match fault {
+            1 => e.1 = NodeId(n as u32 + 2),
+            2 => e.1 = e.0,
+            3 => e.2 = f64::NAN,
+            4 => e.2 = -1.5,
+            _ => {}
+        };
+        let k = rng.random_range(0..m);
+        break_edge(&mut edges[k], fault);
+        if fault > 0 && k + 1 < m && rng.random_bool(0.5) {
+            break_edge(&mut edges[m - 1], 1 + fault % 4);
+        }
+        let mut looped = Graph::new(n);
+        let looped = edges
+            .iter()
+            .try_for_each(|&(u, v, w)| looped.add_edge(u, v, w).map(|_| ()))
+            .map(|()| looped);
+        match (Graph::from_edges(n, edges.iter().copied()), looped) {
+            (Ok(g), Ok(h)) => {
+                prop_assert_eq!(g.node_count(), h.node_count());
+                let bits = |g: &Graph| -> Vec<(u32, u32, u64)> {
+                    g.edges().map(|(_, e)| (e.u.0, e.v.0, e.w.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&g), bits(&h));
+                for x in g.nodes() {
+                    prop_assert_eq!(g.neighbors(x), h.neighbors(x));
+                }
+            }
+            // `{:?}` compares a NaN weight's error too.
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+            (a, b) => {
+                prop_assert!(false, "from_edges {:?} vs add_edge loop {:?}", a.err(), b.err());
+            }
         }
     }
 

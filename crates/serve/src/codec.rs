@@ -645,11 +645,8 @@ impl WireGame {
     /// re-running every library-side validation.
     pub fn build(&self) -> Result<(NetworkDesignGame, Option<Demands>), WireError> {
         let build_graph = |n: usize, edges: &[(u32, u32, f64)]| -> Result<Graph, WireError> {
-            let mut g = Graph::new(n);
-            for &(u, v, w) in edges {
-                g.add_edge(NodeId(u), NodeId(v), w)?;
-            }
-            Ok(g)
+            let list = edges.iter().map(|&(u, v, w)| (NodeId(u), NodeId(v), w));
+            Ok(Graph::from_edges(n, list)?)
         };
         let to_players = |pairs: &[(u32, u32)]| -> Vec<Player> {
             pairs

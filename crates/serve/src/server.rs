@@ -20,6 +20,8 @@
 //!   counts as a keep-alive, and a connection that makes no framing
 //!   progress (no complete line) for the idle window is closed without a
 //!   response, whether its peer is silent or drip-feeds a line;
+//! * a **write timeout** ([`WRITE_TIMEOUT`]) reaps a peer that sends
+//!   requests but stops reading the answers;
 //! * **graceful drain**: once the shutdown flag is set, already-buffered
 //!   complete lines are processed and answered as a final batch, then the
 //!   connection closes; the accept loop stops taking new connections;
@@ -32,7 +34,9 @@
 //! its socket read timeout (none without one). [`ServerHandle::stop`]
 //! sets the shutdown flag and wakes the accept thread with one loopback
 //! connect; the accept thread then shuts down the read half of every live
-//! connection, so each blocked read returns EOF and drains. The server
+//! connection, so each blocked read returns EOF and drains. A connection
+//! still open [`DRAIN_GRACE`] later has its socket shut both ways, which
+//! fails a write blocked on a peer that does not read. The server
 //! spawns one OS thread per connection — the
 //! parallelism *within* a batch comes from the router's executor, so a
 //! single greedy connection already saturates the configured workers,
@@ -58,6 +62,14 @@ pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 /// Default `retry_ms` hint attached to shed responses.
 pub const DEFAULT_RETRY_MS: u64 = 50;
 
+/// How long one socket write may wait for a peer to take answer bytes
+/// before the connection is reaped.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long [`ServerHandle::stop`] lets connections drain before it cuts
+/// every socket still open in both directions.
+pub const DRAIN_GRACE: Duration = Duration::from_millis(500);
+
 /// Robustness counters shared between the [`Router`] and the serving
 /// front ends; reported by `method=stats`.
 #[derive(Debug, Default)]
@@ -68,7 +80,8 @@ pub struct ConnStats {
     pub reset: AtomicU64,
     /// Connections ended by any other I/O error.
     pub errored: AtomicU64,
-    /// Connections reaped for idling past the read timeout.
+    /// Connections reaped because the peer stalled (see
+    /// [`ConnEnd::Reaped`]).
     pub reaped: AtomicU64,
     /// Connections closed by graceful drain at shutdown.
     pub drained: AtomicU64,
@@ -108,7 +121,7 @@ pub struct ConnSnapshot {
     pub reset: u64,
     /// Connections ended by any other I/O error.
     pub errored: u64,
-    /// Connections reaped for idling past the read timeout.
+    /// Connections reaped because the peer stalled.
     pub reaped: u64,
     /// Connections closed by graceful drain at shutdown.
     pub drained: u64,
@@ -127,7 +140,9 @@ pub struct ConnSnapshot {
 pub enum ConnEnd {
     /// Client closed the stream (EOF after a complete frame).
     Eof,
-    /// No framing progress for the idle window; closed without response.
+    /// The peer stalled: no framing progress for the idle window, or
+    /// no answer bytes taken within [`WRITE_TIMEOUT`] or, at drain,
+    /// [`DRAIN_GRACE`]. Closed without (the rest of) its responses.
     Reaped,
     /// Shutdown flag seen; buffered complete lines answered, then closed.
     Drained,
@@ -292,15 +307,10 @@ fn read_batch(
     st: &mut FrameState,
     opts: &ServeOptions,
 ) -> io::Result<BatchRead> {
-    let draining = || {
-        opts.shutdown
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::SeqCst))
-    };
     let mut batch = Vec::new();
     let mut last_progress = Instant::now();
     loop {
-        if draining() {
+        if draining(opts) {
             return Ok(BatchRead::Drained(batch));
         }
         let (len, eol) = match reader.fill_buf() {
@@ -308,7 +318,7 @@ fn read_batch(
                 // EOF. After `ServerHandle::stop` shut the read half down
                 // it is a drain, and a partial line is dropped; from the
                 // client, a trailing line without newline still counts.
-                if draining() {
+                if draining(opts) {
                     return Ok(BatchRead::Drained(batch));
                 }
                 batch.extend(finish_line(st));
@@ -371,6 +381,13 @@ fn read_batch(
             return Ok(BatchRead::Reaped);
         }
     }
+}
+
+/// Whether the graceful-drain flag is up.
+fn draining(opts: &ServeOptions) -> bool {
+    opts.shutdown
+        .as_ref()
+        .is_some_and(|flag| flag.load(Ordering::SeqCst))
 }
 
 /// Answer one batch: oversized slots locally, shed slots with
@@ -475,7 +492,19 @@ pub fn serve_stream_with(
             BatchRead::Reaped => return Ok(ConnEnd::Reaped),
         };
         if !batch.is_empty() {
-            answer_batch(router, writer, batch, opts.gate.as_deref())?;
+            if let Err(e) = answer_batch(router, writer, batch, opts.gate.as_deref()) {
+                // A peer that stopped taking answers: the write timed
+                // out, or the drain cut the socket after its grace.
+                let stalled = matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                );
+                return if stalled || draining(opts) {
+                    Ok(ConnEnd::Reaped)
+                } else {
+                    Err(e)
+                };
+            }
         }
         if let Some(end) = end {
             return Ok(end);
@@ -596,9 +625,14 @@ fn handle_connection(router: &Router, stream: &TcpStream, opts: &ServeOptions) {
     // shuts the read half down. (A zero timeout is invalid for a socket,
     // so a zero window reads as 1 ms.)
     let _ = stream.set_read_timeout(opts.idle_timeout.map(|t| t.max(Duration::from_millis(1))));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
-    match serve_stream_with(router, &mut reader, &mut writer, opts) {
+    let end = serve_stream_with(router, &mut reader, &mut writer, opts);
+    // Answers a failed write left buffered are dropped, not flushed into
+    // a peer that stopped reading.
+    drop(writer.into_parts());
+    match end {
         Ok(ConnEnd::Eof) => {
             stats.eof.fetch_add(1, Ordering::Relaxed);
         }
@@ -677,12 +711,23 @@ pub fn spawn_tcp_with(
             }
             // Drain: stop accepting (the listener drops at scope end), turn
             // every blocked read into EOF, and let each connection answer
-            // its buffered complete lines before joining it.
-            for (_, live) in &workers {
-                if let Some(stream) = live.upgrade() {
-                    let _ = stream.shutdown(Shutdown::Read);
+            // its buffered complete lines. One still open after the grace
+            // is blocked writing to a peer that does not read (or is
+            // still solving): cutting its socket both ways fails the
+            // write, so every join returns.
+            let shut = |how| {
+                for (_, live) in &workers {
+                    if let Some(stream) = live.upgrade() {
+                        let _ = stream.shutdown(how);
+                    }
                 }
+            };
+            shut(Shutdown::Read);
+            let deadline = Instant::now() + DRAIN_GRACE;
+            while Instant::now() < deadline && workers.iter().any(|(h, _)| !h.is_finished()) {
+                std::thread::sleep(Duration::from_millis(1));
             }
+            shut(Shutdown::Both);
             for (h, _) in workers {
                 let _ = h.join();
             }
@@ -1004,6 +1049,42 @@ mod tests {
         // The partial line is dropped, and the connection counts as drained.
         let c = r.conn_stats().snapshot();
         assert_eq!((c.drained, c.eof, c.reaped), (1, 0, 0), "{c:?}");
+    }
+
+    #[test]
+    fn tcp_stop_cuts_a_peer_that_never_reads() {
+        let r = Arc::new(router());
+        let handle = spawn_tcp(r.clone(), "127.0.0.1:0").unwrap();
+        let conn = TcpStream::connect(handle.addr()).unwrap();
+        stats_round_trip(&conn);
+        // Send one-line batches whose error answers echo a 7 MiB unknown
+        // field, and read none of them. The first answer overflows both
+        // socket buffers, so the worker blocks in its write with megabytes
+        // left and stops reading; five 200 ms write timeouts in a row
+        // here show it.
+        let batch = format!("ndg1;id=s;method=stats;{}=1\n\n", "z".repeat(7 << 20));
+        conn.set_write_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let (mut at, mut stalls) = (0, 0);
+        while stalls < 5 {
+            match (&conn).write(&batch.as_bytes()[at..]) {
+                Ok(k) => (at, stalls) = ((at + k) % batch.len(), 0),
+                Err(_) => stalls += 1,
+            }
+        }
+        let t0 = Instant::now();
+        handle.stop();
+        let took = t0.elapsed();
+        assert!(
+            took < DRAIN_GRACE + Duration::from_secs(1),
+            "stop took {took:?}"
+        );
+        let c = r.conn_stats().snapshot();
+        assert_eq!(
+            (c.reaped, c.drained, c.eof, c.reset, c.errored),
+            (1, 0, 0, 0, 0),
+            "{c:?}"
+        );
     }
 
     #[test]
