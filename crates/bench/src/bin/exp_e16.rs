@@ -44,6 +44,13 @@
 //! (every other section is kept byte for byte); `--smoke` shrinks the
 //! delta count, keeps the byte-identity gate, and skips the baseline
 //! write.
+//!
+//! `--check` runs the full families and compares each row with the
+//! pinned `e16_sessions` row instead of rewriting it. `deltas`,
+//! `replayed_solves_per_delta` and `zero_move_share` are pure functions
+//! of the streams and the engine, so they must match the pin exactly
+//! (hard gates, exit 1). The wall-clock fields drift with the host and
+//! only warn outside a 4× band.
 
 use ndg_bench::{header, row};
 use ndg_core::NetworkDesignGame;
@@ -87,6 +94,102 @@ struct FamilyResult {
     replayed: u64,
     /// Share of warm deltas answered with `moves=0`.
     zero_move_share: f64,
+}
+
+impl FamilyResult {
+    /// The row's fields after its id, formatted as the baseline pins
+    /// them: `(name, value, hard gate)`. Deterministic fields are hard
+    /// gates under `--check`; wall-clock fields are not.
+    fn fields(&self) -> [(&'static str, String, bool); 7] {
+        let deltas = self.deltas as f64;
+        [
+            ("deltas", self.deltas.to_string(), true),
+            (
+                "warm_deltas_per_s",
+                format!("{:.0}", deltas / (self.warm_ms / 1e3)),
+                false,
+            ),
+            (
+                "cold_solves_per_s",
+                format!("{:.0}", deltas / (self.cold_ms / 1e3)),
+                false,
+            ),
+            (
+                "cold_over_warm",
+                format!("{:.2}", self.cold_ms / self.warm_ms),
+                false,
+            ),
+            ("resync_ms", format!("{:.2}", self.resync_ms), false),
+            (
+                "replayed_solves_per_delta",
+                format!("{:.2}", self.replayed as f64 / deltas),
+                true,
+            ),
+            (
+                "zero_move_share",
+                format!("{:.2}", self.zero_move_share),
+                true,
+            ),
+        ]
+    }
+}
+
+/// The pinned `families` row of family `id` (rows are flat objects).
+fn pinned_row<'t>(families: &'t str, id: &str) -> Option<&'t str> {
+    let want = format!("\"{id}\"");
+    families.match_indices('{').find_map(|(i, _)| {
+        let row = &families[i..=i + families[i..].find('}')?];
+        (ndg_bench::bench_entry(row, "id") == Some(want.as_str())).then_some(row)
+    })
+}
+
+/// `--check`: compare every family's row with the pinned one. Returns
+/// whether every hard gate held; wall-clock drift only prints `WARN:`.
+fn check_against_pin(path: &str, results: &[FamilyResult]) -> bool {
+    const WARN_BAND: f64 = 4.0;
+    let pinned = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("exp_e16 --check: cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    let families = ndg_bench::bench_entry(&pinned, "e16_sessions")
+        .and_then(|e| ndg_bench::bench_entry(e, "families"));
+    let mut ok = true;
+    for r in results {
+        let Some(row) = families.and_then(|f| pinned_row(f, r.id)) else {
+            eprintln!("exp_e16 --check: no pinned e16_sessions row for {}", r.id);
+            ok = false;
+            continue;
+        };
+        for (name, fresh, hard) in r.fields() {
+            let pin = ndg_bench::bench_entry(row, name);
+            if hard {
+                if pin != Some(fresh.as_str()) {
+                    eprintln!(
+                        "exp_e16 --check: {} {name} {fresh} != pinned {} \
+                         (deterministic field, hard gate)",
+                        r.id,
+                        pin.unwrap_or("(missing)")
+                    );
+                    ok = false;
+                }
+                continue;
+            }
+            let fresh: f64 = fresh.parse().expect("formatted number");
+            match pin.and_then(|v| v.parse::<f64>().ok()) {
+                None => {
+                    eprintln!("exp_e16 --check: {} `{name}` missing from {path}", r.id);
+                    ok = false;
+                }
+                Some(p) if fresh > p * WARN_BAND || fresh < p / WARN_BAND => println!(
+                    "WARN: {} {name} {fresh} vs pinned {p} — outside the {WARN_BAND}x \
+                     band; wall-clock drift is warn-only",
+                    r.id
+                ),
+                Some(_) => {}
+            }
+        }
+    }
+    ok
 }
 
 /// A weight patch of one of `edges` edges.
@@ -299,15 +402,21 @@ fn run_family(family: &Family) -> FamilyResult {
 }
 
 fn main() {
-    let mut smoke = false;
+    let (mut smoke, mut check) = (false, false);
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--check" => check = true,
             _ => {
-                eprintln!("usage: exp_e16 [--smoke]");
+                eprintln!("usage: exp_e16 [--smoke | --check]");
                 std::process::exit(2);
             }
         }
+    }
+    if smoke && check {
+        // The pin was measured at full size.
+        eprintln!("exp_e16: --check and --smoke are mutually exclusive");
+        std::process::exit(2);
     }
     let deltas = if smoke { SMOKE_DELTAS } else { 64 };
     // The replay gates read the process-wide registry.
@@ -401,6 +510,17 @@ fn main() {
         println!("smoke mode: skipping BENCH_serve.json write");
         return;
     }
+    let path = "BENCH_serve.json";
+    if check {
+        if !check_against_pin(path, &results) {
+            std::process::exit(1);
+        }
+        println!(
+            "OK: --check against {path} — deterministic fields match the pin; \
+             wall-clock fields within the warn band or warned above"
+        );
+        return;
+    }
     let section = {
         let mut s = String::new();
         s.push_str("{\n");
@@ -420,26 +540,21 @@ fn main() {
         );
         s.push_str("    \"families\": [\n");
         for (i, r) in results.iter().enumerate() {
+            let fields: Vec<String> = r
+                .fields()
+                .iter()
+                .map(|(name, value, _)| format!("\"{name}\": {value}"))
+                .collect();
             s.push_str(&format!(
-                "      {{ \"id\": \"{}\", \"deltas\": {}, \"warm_deltas_per_s\": {:.0}, \
-                 \"cold_solves_per_s\": {:.0}, \"cold_over_warm\": {:.2}, \
-                 \"resync_ms\": {:.2}, \"replayed_solves_per_delta\": {:.2}, \
-                 \"zero_move_share\": {:.2} }}{}\n",
+                "      {{ \"id\": \"{}\", {} }}{}\n",
                 r.id,
-                r.deltas,
-                r.deltas as f64 / (r.warm_ms / 1e3),
-                r.deltas as f64 / (r.cold_ms / 1e3),
-                r.cold_ms / r.warm_ms,
-                r.resync_ms,
-                r.replayed as f64 / r.deltas as f64,
-                r.zero_move_share,
+                fields.join(", "),
                 if i + 1 < results.len() { "," } else { "" }
             ));
         }
         s.push_str("    ]\n  }");
         s
     };
-    let path = "BENCH_serve.json";
     let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
     let merged = ndg_bench::splice_bench_section(&old, "e16_sessions", &section);
     match std::fs::File::create(path).and_then(|mut f| f.write_all(merged.as_bytes())) {

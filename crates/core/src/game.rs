@@ -4,7 +4,7 @@
 //! player; a *broadcast game* has a distinguished root, one player per
 //! non-root node, and every player's terminal is the root.
 
-use ndg_graph::{Graph, NodeId};
+use ndg_graph::{EdgeId, Graph, GraphError, NodeId};
 use std::fmt;
 
 /// One player's connectivity requirement.
@@ -162,6 +162,15 @@ impl NetworkDesignGame {
     #[inline]
     pub fn root(&self) -> Option<NodeId> {
         self.broadcast_root
+    }
+
+    /// Set the weight of edge `e` to `w` (see [`Graph::set_weight`]). The
+    /// topology and the players are unchanged, so the game stays valid.
+    ///
+    /// # Panics
+    /// Panics if `e` is not an edge of the graph.
+    pub fn set_weight(&mut self, e: EdgeId, w: f64) -> Result<(), GraphError> {
+        self.graph.set_weight(e, w)
     }
 
     /// Broadcast only: the player associated with node `v` (`None` for the

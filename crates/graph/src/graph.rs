@@ -114,6 +114,11 @@ fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) -> Result<(), GraphError> 
     if u == v {
         return Err(GraphError::SelfLoop(u.0));
     }
+    check_weight(w)
+}
+
+/// The weight check of [`check_edge`]: finite and non-negative.
+fn check_weight(w: f64) -> Result<(), GraphError> {
     if !w.is_finite() || w < 0.0 {
         return Err(GraphError::BadWeight(w));
     }
@@ -204,6 +209,19 @@ impl Graph {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> Result<EdgeId, GraphError> {
         check_edge(self.node_count(), u, v, w)?;
         Ok(self.push_edge(u, v, w))
+    }
+
+    /// Set the weight of edge `e` to `w`, checked as
+    /// [`add_edge`](Self::add_edge) checks a weight; on error the graph is
+    /// unchanged. Adjacency holds no weights, so the result equals
+    /// [`from_edges`](Self::from_edges) of the patched edge list.
+    ///
+    /// # Panics
+    /// Panics if `e` is not an edge of the graph.
+    pub fn set_weight(&mut self, e: EdgeId, w: f64) -> Result<(), GraphError> {
+        check_weight(w)?;
+        self.edges[e.index()].w = w;
+        Ok(())
     }
 
     /// Append an already validated edge.

@@ -7,7 +7,7 @@
 #![cfg(test)]
 
 use crate::generators;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, GraphError, NodeId};
 use crate::mst::kruskal;
 use crate::tree::RootedTree;
 use proptest::prelude::*;
@@ -162,6 +162,41 @@ proptest! {
                 prop_assert!(false, "from_edges {:?} vs add_edge loop {:?}", a.err(), b.err());
             }
         }
+    }
+
+    /// `Graph::set_weight` equals `from_edges` of the patched edge list,
+    /// neighbour lists included; a NaN, infinite or negative weight is
+    /// `BadWeight` and leaves the graph unchanged.
+    #[test]
+    fn set_weight_equals_from_edges_of_the_patched_list(
+        n in 2usize..12,
+        seed in 0u64..1_000_000,
+        bad in 0usize..5
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = generators::random_connected(n, 0.4, &mut rng, 0.0..4.0);
+        let bits = |g: &Graph| -> Vec<(u32, u32, u64)> {
+            g.edges().map(|(_, e)| (e.u.0, e.v.0, e.w.to_bits())).collect()
+        };
+        let mut list: Vec<(NodeId, NodeId, f64)> = g.edges().map(|(_, e)| (e.u, e.v, e.w)).collect();
+        for _ in 0..6 {
+            let e = rng.random_range(0..list.len());
+            let w = rng.random_range(0.0..4.0);
+            g.set_weight(crate::graph::EdgeId(e as u32), w).unwrap();
+            list[e].2 = w;
+            let want = Graph::from_edges(n, list.iter().copied()).unwrap();
+            prop_assert_eq!(bits(&g), bits(&want));
+            for x in g.nodes() {
+                prop_assert_eq!(g.neighbors(x), want.neighbors(x));
+            }
+        }
+        let w = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.5, -f64::MIN_POSITIVE][bad];
+        let before = bits(&g);
+        let e = crate::graph::EdgeId(rng.random_range(0..list.len()) as u32);
+        let err = g.set_weight(e, w).unwrap_err();
+        // `{:?}` compares a NaN weight's error too.
+        prop_assert_eq!(format!("{err:?}"), format!("{:?}", GraphError::BadWeight(w)));
+        prop_assert_eq!(bits(&g), before);
     }
 
     /// Harmonic differences telescope: H_c − H_a = (H_b − H_a) + (H_c − H_b).

@@ -270,14 +270,15 @@ impl Router {
 
     /// The literal cold `dynamics` request line whose solve is specified
     /// byte-identical to session `sid`'s current answer (`None` for
-    /// unknown/retired sessions). A debugging/audit seam: property tests
+    /// unknown/retired sessions), its game spec derived from the built
+    /// game the session carries. A debugging/audit seam: property tests
     /// replay it through a scratch canon-off router and compare payloads.
     pub fn session_cold_line(&self, sid: &str) -> Option<String> {
         let sess = self.sessions.get(sid).ok()?;
         let sess = sess
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Some(sess.cold_request("cold").serialize())
+        Some(sess.view.cold_request("cold").serialize())
     }
 
     /// Swap the stage/latency clock (deterministic tests drive a
@@ -950,15 +951,19 @@ impl Router {
     }
 
     fn dynamics(&self, req: &Request, budget: &Budget) -> Result<String, WireError> {
-        self.dynamics_full(req, budget).map(|(payload, _)| payload)
+        self.dynamics_full(req, budget)
+            .map(|(_, _, payload)| payload)
     }
 
-    /// The `dynamics` engine, also returning the converged state — the
-    /// session path stores it as the warm start for the next delta. Both
-    /// the cold dispatch above and every session solve run exactly this
-    /// function, which is what makes a session answer byte-identical to
-    /// a cold solve of the same literal request *by construction*.
-    fn dynamics_full(&self, req: &Request, budget: &Budget) -> Result<(String, State), WireError> {
+    /// The `dynamics` engine on a literal request: build the game,
+    /// validate the start, then [`solve`](Self::solve). Returns the built
+    /// game and the converged state too — a session's `open` keeps them
+    /// as its first view.
+    fn dynamics_full(
+        &self,
+        req: &Request,
+        budget: &Budget,
+    ) -> Result<(NetworkDesignGame, State, String), WireError> {
         let (game, demands) = req
             .game
             .as_ref()
@@ -979,14 +984,30 @@ impl Router {
                 check_edge_ids(g, p, "state")?;
             }
         }
-        let state = req.initial_state(&game)?;
-        let b = req.subsidy_for(&game)?;
+        let start = req.initial_state(&game)?;
+        let (state, payload) = self.solve(&game, start, req, budget)?;
+        Ok((game, state, payload))
+    }
+
+    /// The one `dynamics` engine call and its payload, from a built game
+    /// and a validated start under `req`'s subsidy, order and rounds.
+    /// Cold `dynamics` answers and every session step run exactly this
+    /// function, which is what makes a session answer byte-identical to
+    /// a cold solve of the same literal request *by construction*.
+    fn solve(
+        &self,
+        game: &NetworkDesignGame,
+        start: State,
+        req: &Request,
+        budget: &Budget,
+    ) -> Result<(State, String), WireError> {
+        let b = req.subsidy_for(game)?;
         let order = req
             .order
             .unwrap_or(crate::codec::WireOrder::RoundRobin)
             .to_move_order();
         let max_rounds = req.rounds.unwrap_or(DEFAULT_ROUNDS);
-        let res = best_response_dynamics_budgeted(&game, state, &b, order, max_rounds, budget)
+        let res = best_response_dynamics_budgeted(game, start, &b, order, max_rounds, budget)
             .map_err(|ndg_exec::BudgetExceeded| WireError::Deadline)?;
         // The trace always holds at least the initial potential; an empty
         // one is an engine bug, reported instead of killing the worker.
@@ -999,11 +1020,11 @@ impl Router {
             res.converged,
             res.moves,
             res.rounds,
-            fmt_f64(res.state.weight(g)),
+            fmt_f64(res.state.weight(game.graph())),
             fmt_f64(phi),
             fmt_edge_ids(&res.state.established_edges()),
         );
-        Ok((payload, res.state))
+        Ok((res.state, payload))
     }
 
     fn pos(&self, req: &Request, budget: &Budget) -> Result<String, WireError> {
@@ -1083,7 +1104,13 @@ impl Router {
     /// addressing (`session=`/`epoch=`) plus the `resynced=1` recovery
     /// marker as volatile headers outside the deterministic payload.
     fn respond_session(&self, req: &Request, laps: &mut Laps<'_>) -> (String, u64) {
-        let key = crate::codec::fnv1a64(req.canonical_body().as_bytes());
+        // Only `finish` reads the key, and only with laps on: an open's
+        // instance is not serialized just to hash it.
+        let key = if laps.on {
+            crate::codec::fnv1a64(req.canonical_body().as_bytes())
+        } else {
+            0
+        };
         laps.lap(STAGE_CANON);
         laps.lap(STAGE_CACHE);
         let budget = match req.deadline_ms.or(self.default_deadline_ms) {
@@ -1138,7 +1165,7 @@ impl Router {
             budget.check().map_err(|_| WireError::Deadline)?;
             self.dynamics_full(&synth, budget)
         }));
-        let (payload, state) = match solved {
+        let (game, state, payload) = match solved {
             Ok(res) => res?,
             Err(_) => {
                 self.conn_stats.panics.fetch_add(1, Ordering::Relaxed);
@@ -1148,13 +1175,16 @@ impl Router {
             }
         };
         laps.lap(STAGE_SOLVE);
+        // The view keeps the built game in place of the spec.
+        synth.game = None;
         let view = View {
             req: synth,
+            game,
             payload: payload.clone(),
-            converged: state_paths(&state),
+            state,
         };
         let sid = self.sessions.open(Session {
-            checkpoint: view.clone(),
+            checkpoint: view.checkpoint(),
             checkpoint_epoch: 0,
             journal: Vec::new(),
             view,
@@ -1244,11 +1274,12 @@ impl Router {
         if audit {
             match self.replay(&s) {
                 Ok(view)
-                    if view.payload == s.view.payload && view.converged == s.view.converged =>
+                    if view.payload == s.view.payload
+                        && state_paths(&view.state) == state_paths(&s.view.state) =>
                 {
                     // The replay, never the live view (its fault may not
                     // show in the comparison), is the next checkpoint.
-                    s.set_checkpoint(view);
+                    s.set_checkpoint(view.checkpoint());
                     self.sessions.note_audit(false);
                 }
                 replayed => {
@@ -1326,44 +1357,42 @@ impl Router {
         ))
     }
 
-    /// One warm session step: apply `op` to clones of `view`'s instance,
-    /// then solve the patched literal `dynamics` request from `view`'s
-    /// converged paths. Live deltas and [`replay`](Self::replay) both run
-    /// exactly this, so a replay repeats the live path's calls.
+    /// One warm session step: apply `op` to `view`'s built instance (see
+    /// [`apply_delta`]), then [`solve`](Self::solve) the patched literal
+    /// `dynamics` request from the start it returns. Live deltas and
+    /// [`replay`](Self::replay) both run exactly this, so a replay repeats
+    /// the live path's calls.
     fn step(&self, view: &View, op: DeltaOp, budget: &Budget) -> Result<View, WireError> {
-        let mut game = view.req.game.clone().ok_or_else(corrupt_view)?;
-        let mut paths = view.converged.clone();
-        let mut subsidy = view.req.subsidy.clone();
-        apply_delta(op, &mut game, &mut paths, &mut subsidy)?;
-        let mut req = Request::new(view.req.id.clone(), Method::Dynamics);
-        req.game = Some(game);
-        req.state = Some(paths);
-        req.subsidy = subsidy;
-        req.order = view.req.order;
-        req.rounds = view.req.rounds;
-        req.canon = false;
-        let (payload, state) = self.dynamics_full(&req, budget)?;
+        let (game, start, subsidy) =
+            apply_delta(op, &view.game, &view.state, view.req.subsidy.as_deref())?;
+        let req = Request {
+            state: Some(state_paths(&start)),
+            subsidy,
+            order: view.req.order,
+            rounds: view.req.rounds,
+            canon: false,
+            ..Request::new(view.req.id.clone(), Method::Dynamics)
+        };
+        let (state, payload) = self.solve(&game, start, &req, budget)?;
         Ok(View {
-            converged: state_paths(&state),
             req,
+            game,
             payload,
+            state,
         })
     }
 
-    /// Derive a session's view from its checkpoint: a copy of it, then
-    /// one [`step`](Self::step) per op in the journal window. No cold
-    /// solve runs. Deterministic, budget-free (recovery and audits must
-    /// not be starved by a client deadline) and panic-isolated.
-    /// `Err(Some(e))` means the newest op failed with `e`; `Err(None)`
-    /// means the checkpoint (one without an instance to step), an older
-    /// op or a panic.
+    /// Derive a session's view from its checkpoint: the checkpoint built
+    /// once, then one [`step`](Self::step) per op in the journal window.
+    /// No cold solve runs. Deterministic, budget-free (recovery and
+    /// audits must not be starved by a client deadline) and
+    /// panic-isolated. `Err(Some(e))` means the newest op failed with
+    /// `e`; `Err(None)` means the checkpoint (one without an instance, or
+    /// one that no longer builds), an older op or a panic.
     fn replay(&self, s: &Session) -> Result<View, Option<WireError>> {
-        if s.checkpoint.req.game.is_none() {
-            return Err(None);
-        }
         let unlimited = Budget::unlimited();
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut view = s.checkpoint.clone();
+            let mut view = s.checkpoint.view().ok_or(None)?;
             for (i, &op) in s.journal.iter().enumerate() {
                 let newest = i + 1 == s.journal.len();
                 SESSION_REPLAYED_SOLVES.inc();
@@ -1398,7 +1427,7 @@ impl Router {
         };
         // Copy first: no unwind can leave the checkpoint paired with the
         // wrong window.
-        let checkpoint = view.clone();
+        let checkpoint = view.checkpoint();
         s.view = view;
         s.set_checkpoint(checkpoint);
         s.dirty = false;
@@ -1450,15 +1479,6 @@ fn engine_panicked() -> WireError {
     WireError::Engine {
         code: "internal",
         msg: "engine panicked; request isolated".into(),
-    }
-}
-
-/// A session view missing its instance: impossible by construction,
-/// reported instead of unwinding.
-fn corrupt_view() -> WireError {
-    WireError::Engine {
-        code: "internal",
-        msg: "session view lost its instance".into(),
     }
 }
 
@@ -2532,6 +2552,14 @@ mod tests {
         assert_eq!(r.conn_stats().snapshot().panics, 1);
     }
 
+    /// Corrupt a live view's built game: every edge weight doubled.
+    fn double_every_weight(game: &mut NetworkDesignGame) {
+        for e in 0..game.graph().edge_count() as u32 {
+            let w = game.graph().weight(EdgeId(e));
+            game.set_weight(EdgeId(e), 2.0 * w).unwrap();
+        }
+    }
+
     #[test]
     fn session_failed_audit_commits_the_cold_replay() {
         let (mut r, rec) = recorded_router();
@@ -2543,11 +2571,7 @@ mod tests {
         // Corrupt the committed warm view: every edge weight doubled.
         {
             let sess = r.sessions().get(&sid).unwrap();
-            let mut s = sess.lock().unwrap();
-            let Some(crate::codec::WireGame::Broadcast { edges, .. }) = &mut s.view.req.game else {
-                panic!("broadcast session");
-            };
-            edges.iter_mut().for_each(|e| e.2 *= 2.0);
+            double_every_weight(&mut sess.lock().unwrap().view.game);
         }
         // The next delta is audited: the replay wins and is served.
         let d = r.handle_line(&format!(
@@ -2656,7 +2680,7 @@ mod tests {
             ));
             let sid = header(&open, "session").unwrap();
             let sess = r.sessions().get(&sid).unwrap();
-            let opened = sess.lock().unwrap().view.clone();
+            let opened = sess.lock().unwrap().checkpoint.clone();
             let (mut sent, mut edges, mut fails) = (Vec::new(), pairs.len() as u32, 0);
             for epoch in 0..24u64 {
                 if epoch == 13 {
@@ -2696,12 +2720,16 @@ mod tests {
                         checkpoint: opened.clone(),
                         checkpoint_epoch: 0,
                         journal: sent.clone(),
-                        view: opened.clone(),
+                        view: opened.view().unwrap(),
                         dirty: false,
                     })
                     .unwrap();
                 assert_eq!(windowed.payload, from_open.payload, "epoch {at}");
-                assert_eq!(windowed.converged, from_open.converged, "epoch {at}");
+                assert_eq!(
+                    state_paths(&windowed.state),
+                    state_paths(&from_open.state),
+                    "epoch {at}"
+                );
                 assert_eq!(windowed.payload, s.view.payload, "epoch {at}");
             }
             assert!(fails > 0, "seed {seed}: the journal holds fails");
@@ -2731,10 +2759,7 @@ mod tests {
             let sess = r.sessions().get(&sid).unwrap();
             let mut s = sess.lock().unwrap();
             assert_eq!((s.checkpoint_epoch, s.journal.len()), (2, 0));
-            let Some(crate::codec::WireGame::Broadcast { edges, .. }) = &mut s.view.req.game else {
-                panic!("broadcast session");
-            };
-            edges.iter_mut().for_each(|e| e.2 *= 2.0);
+            double_every_weight(&mut s.view.game);
         }
         let d = r.handle_line(&format!(
             "ndg1;id=d2;method=delta;session={sid};epoch=2;delta=patch;edge=1;w=0.5"

@@ -6,9 +6,16 @@
 //! solving *warm* from the previous converged state instead of from the
 //! client's original initial state. Every answer is specified
 //! byte-identical to a cold solve of the synthesized literal request
-//! (`Session::cold_request`) — the warm path only changes *where the
+//! (`View::cold_request`) — the warm path only changes *where the
 //! solve starts*, never what it returns, because the solve itself is the
 //! router's one `dynamics` engine either way.
+//!
+//! The live view and the checkpoint have different forms. The live
+//! `View` holds the built game, so a weight patch is a clone of it plus
+//! one weight write, and a `fail` or `join` builds the patched game once.
+//! The `Checkpoint` keeps the wire form (the literal request with its
+//! game spec), about half the memory of a built game; a replay builds it
+//! once and steps from there.
 //!
 //! The robustness spine is a per-session **write-ahead delta journal**
 //! behind a **checkpoint**, a view that a replay produced or confirmed:
@@ -21,14 +28,15 @@
 //! degrades by discarding the incremental view and replaying the window,
 //! which reconstructs the exact committed answer. The router derives a
 //! view one way only: its `replay` runs, per op in the window, the same
-//! `step` (apply + warm solve) the live delta runs, from a copy of the
-//! checkpoint. `open`'s cold solve is the first checkpoint; a passing
-//! audit's replay and every committed recovery become the next. `step`
-//! is deterministic, so a replay from a checkpoint equals one from the
-//! opened instance. Every recovery, client `resync` included, goes
-//! through one commit that replaces the view, counts one resync and
-//! emits one `session`/`resync` event; a journal that no longer replays
-//! retires the session (`code=internal`, then `session_expired`).
+//! `step` (apply + warm solve) the live delta runs, starting from the
+//! checkpoint built into a view. `open`'s cold solve is the first
+//! checkpoint; a passing audit's replay and every committed recovery
+//! become the next. `step` is deterministic, so a replay from a
+//! checkpoint equals one from the opened instance. Every recovery,
+//! client `resync` included, goes through one commit that replaces the
+//! view, counts one resync and emits one `session`/`resync` event; a
+//! journal that no longer replays retires the session (`code=internal`,
+//! then `session_expired`).
 //! Recovered responses carry `resynced=1` in the volatile header, never
 //! in the payload.
 //!
@@ -38,8 +46,9 @@
 //! ids) so clients can distinguish "reopen" from "never existed".
 
 use crate::codec::{DeltaOp, Request, WireError, WireGame};
+use ndg_core::{NetworkDesignGame, Player, State};
 use ndg_graph::paths::dijkstra;
-use ndg_graph::{EdgeId, NodeId};
+use ndg_graph::{EdgeId, Graph, NodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -85,17 +94,74 @@ impl Default for SessionConfig {
     }
 }
 
-/// One committed session answer: the synthesized cold `dynamics` request
-/// whose solve *is* the answer, its payload, and the converged per-player
-/// paths the next delta starts from.
-#[derive(Clone, Debug)]
+/// One committed session answer, live: the built game it answers for,
+/// the literal request's knobs, its payload, and the converged state the
+/// next delta starts from.
+#[derive(Debug)]
 pub(crate) struct View {
-    /// Literal (`canon=0`) `dynamics` request for the current epoch.
+    /// The literal (`canon=0`) `dynamics` request for the current epoch
+    /// without its instance (`game` is `None`): id, subsidy, order,
+    /// rounds, and the start tree or paths.
     pub req: Request,
+    /// The built instance: the view's only copy of it.
+    pub game: NetworkDesignGame,
     /// Its deterministic payload (the session answer's payload bytes).
     pub payload: String,
-    /// Converged state paths (the warm start for the next delta).
+    /// Converged state (the warm start for the next delta).
+    pub state: State,
+}
+
+impl View {
+    /// The literal cold request whose solve is specified byte-identical
+    /// to this view's answer, under `id`: the knobs plus the game spec
+    /// derived from the built game (`WireGame::from_game`).
+    pub fn cold_request(&self, id: &str) -> Request {
+        Request {
+            id: id.to_string(),
+            game: Some(WireGame::from_game(&self.game, None)),
+            ..self.req.clone()
+        }
+    }
+
+    /// This view in a checkpoint's wire form.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            req: self.cold_request(&self.req.id),
+            payload: self.payload.clone(),
+            converged: state_paths(&self.state),
+        }
+    }
+}
+
+/// A view a replay produced or confirmed, in wire form: the literal
+/// request with its game spec, the payload and the converged paths.
+#[derive(Clone, Debug)]
+pub(crate) struct Checkpoint {
+    /// Literal (`canon=0`) `dynamics` request for the checkpoint's epoch.
+    pub req: Request,
+    /// Its deterministic payload.
+    pub payload: String,
+    /// Converged state paths.
     pub converged: Vec<Vec<EdgeId>>,
+}
+
+impl Checkpoint {
+    /// Build the checkpoint into a live view: the game once, and the
+    /// converged paths validated against it. `None` if the request lost
+    /// its instance or either no longer validates.
+    pub fn view(&self) -> Option<View> {
+        let (game, _) = self.req.game.as_ref()?.build().ok()?;
+        let state = State::new(&game, self.converged.clone()).ok()?;
+        Some(View {
+            req: Request {
+                game: None,
+                ..self.req.clone()
+            },
+            game,
+            payload: self.payload.clone(),
+            state,
+        })
+    }
 }
 
 /// One live session: checkpoint + write-ahead journal window + committed
@@ -104,8 +170,8 @@ pub(crate) struct View {
 pub(crate) struct Session {
     /// The latest view a replay produced or confirmed (`open`'s cold
     /// solve, a passing audit's replay, a committed recovery) — journal
-    /// replay starts here. Its own copy, never shared with `view`.
-    pub checkpoint: View,
+    /// replay starts here.
+    pub checkpoint: Checkpoint,
     /// The checkpoint's epoch.
     pub checkpoint_epoch: u64,
     /// The ops applied after the checkpoint (the replay window);
@@ -125,20 +191,12 @@ impl Session {
         self.checkpoint_epoch + self.journal.len() as u64
     }
 
-    /// Make `view`, a replay's view of the current epoch, the checkpoint,
-    /// and drop the window it covers.
-    pub fn set_checkpoint(&mut self, view: View) {
+    /// Make `checkpoint`, a replay's view of the current epoch, the
+    /// checkpoint, and drop the window it covers.
+    pub fn set_checkpoint(&mut self, checkpoint: Checkpoint) {
         self.checkpoint_epoch = self.epoch();
-        self.checkpoint = view;
+        self.checkpoint = checkpoint;
         self.journal.clear();
-    }
-
-    /// The literal cold request whose solve is specified byte-identical
-    /// to the session's current answer (`id` replaced by the caller's).
-    pub fn cold_request(&self, id: &str) -> Request {
-        let mut req = self.view.req.clone();
-        req.id = id.to_string();
-        req
     }
 }
 
@@ -318,17 +376,21 @@ impl SessionTable {
 
     /// Total journal window length across live sessions: the `stats`
     /// `sessions_journal_ops` gauge — the ops a resync of every open
-    /// session would replay from its checkpoint. Lock order is table →
-    /// session, the same direction as every other path (never reversed).
+    /// session would replay from its checkpoint. The table lock is
+    /// released before any session lock is taken, so a session mid-step
+    /// stalls this sum but never another connection's lookup.
     pub fn journal_ops(&self) -> u64 {
-        let inner = self.lock();
-        inner
+        let sessions: Vec<Arc<Mutex<Session>>> = self
+            .lock()
             .sessions
             .values()
-            .map(|slot| {
-                slot.sess
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .map(|slot| Arc::clone(&slot.sess))
+            .collect();
+        sessions
+            .iter()
+            .map(|sess| {
+                sess.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .journal
                     .len() as u64
             })
@@ -386,106 +448,100 @@ fn retire_id(inner: &mut TableInner, sid: String) {
     }
 }
 
-/// The per-player converged paths of a solved state.
-pub(crate) fn state_paths(state: &ndg_core::State) -> Vec<Vec<EdgeId>> {
+/// The per-player paths of a state.
+pub(crate) fn state_paths(state: &State) -> Vec<Vec<EdgeId>> {
     (0..state.num_players())
         .map(|i| state.path(i).to_vec())
         .collect()
 }
 
-/// Apply one delta to wire-level clones of a session's instance: the
-/// game spec, the carried per-player paths, and the subsidy vector. Pure
-/// and deterministic — the journal replay repeats exactly these calls.
-/// On error the clones are simply dropped; committed state never sees a
-/// partial application.
+/// Apply one delta to a session's built instance: returns the patched
+/// game, the validated start state on it (the carried converged state
+/// with ids remapped and stranded or new players routed) and the subsidy
+/// vector. Pure and deterministic — the journal replay repeats exactly
+/// these calls. A patch clones the game and rewrites one weight, and
+/// reuses `state` unchecked (the topology did not change); a `fail` or
+/// `join` builds the patched game once, re-running the game's
+/// validation, and checks the paths on it.
 pub(crate) fn apply_delta(
     op: DeltaOp,
-    game: &mut WireGame,
-    paths: &mut Vec<Vec<EdgeId>>,
-    b: &mut Option<Vec<f64>>,
-) -> Result<(), WireError> {
-    match op {
+    game: &NetworkDesignGame,
+    state: &State,
+    b: Option<&[f64]>,
+) -> Result<(NetworkDesignGame, State, Option<Vec<f64>>), WireError> {
+    let m = game.graph().edge_count();
+    let mut b = b.map(<[f64]>::to_vec);
+    let (patched, paths) = match op {
         DeltaOp::Patch { edge, w } => {
             if !w.is_finite() || w < 0.0 {
                 return Err(WireError::BadDelta(format!(
                     "patch weight {w} must be finite and non-negative"
                 )));
             }
-            let edges = edges_mut(game)?;
-            let m = edges.len();
-            let e = edge as usize;
-            if e >= m {
+            if edge as usize >= m {
                 return Err(WireError::BadDelta(format!(
                     "patch edge {edge} out of range ({m} edges)"
                 )));
             }
-            edges[e].2 = w;
-            Ok(())
+            let mut patched = game.clone();
+            patched.set_weight(EdgeId(edge), w)?;
+            return Ok((patched, state.clone(), b));
         }
         DeltaOp::Fail { edge } => {
             let e = edge as usize;
-            let m = edges_mut(game)?.len();
             if e >= m {
                 return Err(WireError::BadDelta(format!(
                     "fail edge {edge} out of range ({m} edges)"
                 )));
             }
-            // Players whose strategy used the failed edge, before any ids
-            // move.
-            let affected: Vec<usize> = (0..paths.len())
-                .filter(|&i| paths[i].contains(&EdgeId(edge)))
-                .collect();
-            edges_mut(game)?.remove(e);
-            if let Some(b) = b {
+            let g = game.graph();
+            let kept = (0..m as u32).filter(move |&i| i != edge).map(|i| {
+                let a = g.edge(EdgeId(i));
+                (a.u, a.v, a.w)
+            });
+            let graph = Graph::from_edges(g.node_count(), kept)?;
+            // Building the game re-runs its validation: a disconnected
+            // broadcast instance fails here with its usual structured
+            // error.
+            let patched = match game.root() {
+                Some(root) => NetworkDesignGame::broadcast(graph, root)?,
+                None => NetworkDesignGame::new(graph, game.players().to_vec())?,
+            };
+            if let Some(b) = &mut b {
                 if e < b.len() {
                     b.remove(e);
                 }
             }
-            // Edge ids above the removed one shift down by one.
-            for p in paths.iter_mut() {
-                for id in p.iter_mut() {
-                    if id.0 > edge {
+            let g = patched.graph();
+            let mut paths = state_paths(state);
+            for (i, p) in paths.iter_mut().enumerate() {
+                if p.contains(&EdgeId(edge)) {
+                    // A stranded player reroutes onto a deterministic
+                    // shortest path in the patched graph.
+                    let player = patched.players()[i];
+                    let sp = dijkstra(g, player.source);
+                    *p = sp.path_to(g, player.terminal).ok_or_else(|| {
+                        WireError::BadDelta(format!(
+                            "fail edge {edge} disconnects player {i} ({} -> {})",
+                            player.source.0, player.terminal.0
+                        ))
+                    })?;
+                } else {
+                    // Edge ids above the removed one shift down by one.
+                    for id in p.iter_mut().filter(|id| id.0 > edge) {
                         id.0 -= 1;
                     }
                 }
             }
-            if affected.is_empty() {
-                return Ok(());
-            }
-            // Reroute the stranded players onto deterministic shortest
-            // paths in the patched graph (building it re-runs the full
-            // graph/game validation — a disconnected broadcast instance
-            // fails here with its usual structured error).
-            let (patched, _) = game.build()?;
-            let g = patched.graph();
-            for &i in &affected {
-                let p = patched.players().get(i).copied().ok_or_else(|| {
-                    WireError::BadDelta(format!("fail edge {edge} strands player {i}"))
-                })?;
-                let sp = dijkstra(g, p.source);
-                paths[i] = sp.path_to(g, p.terminal).ok_or_else(|| {
-                    WireError::BadDelta(format!(
-                        "fail edge {edge} disconnects player {i} ({} -> {})",
-                        p.source.0, p.terminal.0
-                    ))
-                })?;
-            }
-            Ok(())
+            (patched, paths)
         }
         DeltaOp::Join { source, terminal } => {
-            let (n, players) = match game {
-                WireGame::General { n, players, .. } => (*n, players),
-                WireGame::Broadcast { .. } => {
-                    return Err(WireError::BadDelta(
-                        "join needs a general game (broadcast pins one player per node)".into(),
-                    ))
-                }
-                WireGame::Weighted { .. } => {
-                    return Err(WireError::BadDelta(
-                        "sessions run on unweighted games".into(),
-                    ))
-                }
-            };
+            if game.is_broadcast() {
+                return Err(WireError::BadDelta(
+                    "join needs a general game (broadcast pins one player per node)".into(),
+                ));
+            }
+            let n = game.graph().node_count();
             if source as usize >= n || terminal as usize >= n {
                 return Err(WireError::BadDelta(format!(
                     "join player {source}/{terminal} out of range ({n} nodes)"
@@ -496,49 +552,68 @@ pub(crate) fn apply_delta(
                     "join player {source}/{terminal} has coincident endpoints"
                 )));
             }
-            players.push((source, terminal));
-            let (patched, _) = game.build()?;
+            let mut players = game.players().to_vec();
+            players.push(Player {
+                source: NodeId(source),
+                terminal: NodeId(terminal),
+            });
+            let patched = NetworkDesignGame::new(game.graph().clone(), players)?;
             let g = patched.graph();
             let sp = dijkstra(g, NodeId(source));
             let path = sp.path_to(g, NodeId(terminal)).ok_or_else(|| {
                 WireError::BadDelta(format!("join player {source}/{terminal} is disconnected"))
             })?;
+            let mut paths = state_paths(state);
             paths.push(path);
-            Ok(())
+            (patched, paths)
         }
-    }
-}
-
-fn edges_mut(game: &mut WireGame) -> Result<&mut Vec<(u32, u32, f64)>, WireError> {
-    match game {
-        WireGame::Broadcast { edges, .. } | WireGame::General { edges, .. } => Ok(edges),
-        WireGame::Weighted { .. } => Err(WireError::BadDelta(
-            "sessions run on unweighted games".into(),
-        )),
-    }
+    };
+    let start = State::new(&patched, paths)?;
+    Ok((patched, start, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Method;
+    use ndg_core::{best_response_dynamics_budgeted, MoveOrder, SubsidyAssignment};
+    use ndg_exec::Budget;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
-    fn base_session() -> Session {
-        let mut req = Request::new("t", Method::Dynamics);
-        req.game = Some(WireGame::Broadcast {
+    /// `broadcast:3:0` on the triangle 0-1, 1-2, 2-0 (unit weights).
+    fn triangle() -> WireGame {
+        WireGame::Broadcast {
             n: 3,
             root: 0,
             edges: vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
-        });
+        }
+    }
+
+    fn built(spec: &WireGame) -> NetworkDesignGame {
+        spec.build().unwrap().0
+    }
+
+    /// The triangle with node 1 on edge 0 and node 2 routed over node 1.
+    fn triangle_state(game: &NetworkDesignGame) -> State {
+        State::new(game, vec![vec![EdgeId(0)], vec![EdgeId(1), EdgeId(0)]]).unwrap()
+    }
+
+    fn base_session() -> Session {
+        let mut req = Request::new("t", Method::Dynamics);
+        req.game = Some(triangle());
         req.tree = Some(vec![EdgeId(0), EdgeId(1)]);
         req.canon = false;
-        let view = View {
+        let checkpoint = Checkpoint {
             req,
             payload: "p".into(),
-            converged: vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]],
+            converged: vec![vec![EdgeId(0)], vec![EdgeId(1), EdgeId(0)]],
         };
+        let view = checkpoint.view().unwrap();
         Session {
-            checkpoint: view.clone(),
+            checkpoint,
             checkpoint_epoch: 0,
             journal: Vec::new(),
             view,
@@ -548,24 +623,16 @@ mod tests {
 
     #[test]
     fn patch_rewrites_one_weight_and_validates() {
-        let mut game = WireGame::Broadcast {
-            n: 3,
-            root: 0,
-            edges: vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
-        };
-        let mut paths = vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]];
-        let mut b = None;
-        apply_delta(
-            DeltaOp::Patch { edge: 2, w: 9.5 },
-            &mut game,
-            &mut paths,
-            &mut b,
-        )
-        .unwrap();
-        match &game {
+        let game = built(&triangle());
+        let state = triangle_state(&game);
+        let (patched, start, b) =
+            apply_delta(DeltaOp::Patch { edge: 2, w: 9.5 }, &game, &state, None).unwrap();
+        match WireGame::from_game(&patched, None) {
             WireGame::Broadcast { edges, .. } => assert_eq!(edges[2], (2, 0, 9.5)),
             _ => unreachable!(),
         }
+        assert_eq!(state_paths(&start), state_paths(&state));
+        assert_eq!(b, None);
         for (op, needle) in [
             (DeltaOp::Patch { edge: 3, w: 1.0 }, "out of range"),
             (
@@ -573,7 +640,7 @@ mod tests {
                 "finite and non-negative",
             ),
         ] {
-            let err = apply_delta(op, &mut game, &mut paths, &mut b).unwrap_err();
+            let err = apply_delta(op, &game, &state, None).unwrap_err();
             match err {
                 WireError::BadDelta(msg) => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("{other:?}"),
@@ -583,73 +650,283 @@ mod tests {
 
     #[test]
     fn fail_remaps_ids_reroutes_stranded_players_and_trims_subsidies() {
-        let mut game = WireGame::Broadcast {
-            n: 3,
-            root: 0,
-            edges: vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
-        };
-        let mut paths = vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]];
-        let mut b = Some(vec![0.25, 0.5, 0.75]);
+        let game = built(&triangle());
+        let state = triangle_state(&game);
+        let b = [0.25, 0.5, 0.75];
         // Fail the middle edge: player 1's path used it, and the old edge
         // 2 becomes edge 1.
-        apply_delta(DeltaOp::Fail { edge: 1 }, &mut game, &mut paths, &mut b).unwrap();
-        match &game {
+        let (patched, start, b) =
+            apply_delta(DeltaOp::Fail { edge: 1 }, &game, &state, Some(&b)).unwrap();
+        match WireGame::from_game(&patched, None) {
             WireGame::Broadcast { edges, .. } => {
                 assert_eq!(edges.as_slice(), &[(0, 1, 1.0), (2, 0, 1.0)])
             }
             _ => unreachable!(),
         }
         assert_eq!(b, Some(vec![0.25, 0.75]));
-        assert_eq!(paths[0], vec![EdgeId(0)]);
+        assert_eq!(start.path(0), &[EdgeId(0)]);
         // Player 2's node reroutes over the remaining 2-0 edge.
-        assert_eq!(paths[1], vec![EdgeId(1)]);
-        // Failing again disconnects node 2 entirely: structured error,
-        // clones dropped.
+        assert_eq!(start.path(1), &[EdgeId(1)]);
+        // Failing again disconnects node 2 entirely: structured error.
         let err =
-            apply_delta(DeltaOp::Fail { edge: 1 }, &mut game, &mut paths, &mut b).unwrap_err();
+            apply_delta(DeltaOp::Fail { edge: 1 }, &patched, &start, b.as_deref()).unwrap_err();
         assert_ne!(err.code(), "internal", "{err:?}");
     }
 
     #[test]
     fn join_appends_a_player_on_general_games_only() {
-        let mut game = WireGame::General {
+        let game = built(&WireGame::General {
             n: 4,
             edges: vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
             players: vec![(0, 2)],
+        });
+        let state = State::new(&game, vec![vec![EdgeId(0), EdgeId(1)]]).unwrap();
+        let join = DeltaOp::Join {
+            source: 1,
+            terminal: 3,
         };
-        let mut paths = vec![vec![EdgeId(0), EdgeId(1)]];
-        let mut b = None;
-        apply_delta(
-            DeltaOp::Join {
-                source: 1,
-                terminal: 3,
-            },
-            &mut game,
-            &mut paths,
-            &mut b,
-        )
-        .unwrap();
-        assert_eq!(paths[1], vec![EdgeId(1), EdgeId(2)]);
-        match &game {
+        let (patched, start, _) = apply_delta(join, &game, &state, None).unwrap();
+        assert_eq!(start.path(1), &[EdgeId(1), EdgeId(2)]);
+        match WireGame::from_game(&patched, None) {
             WireGame::General { players, .. } => assert_eq!(players.as_slice(), &[(0, 2), (1, 3)]),
             _ => unreachable!(),
         }
-        let mut bc = WireGame::Broadcast {
+        let bc = built(&WireGame::Broadcast {
             n: 3,
             root: 0,
             edges: vec![(0, 1, 1.0), (1, 2, 1.0)],
+        });
+        let bc_state = State::new(&bc, vec![vec![EdgeId(0)], vec![EdgeId(1), EdgeId(0)]]).unwrap();
+        let join = DeltaOp::Join {
+            source: 1,
+            terminal: 2,
         };
-        let err = apply_delta(
-            DeltaOp::Join {
-                source: 1,
-                terminal: 2,
-            },
-            &mut bc,
-            &mut vec![],
-            &mut None,
-        )
-        .unwrap_err();
+        let err = apply_delta(join, &bc, &bc_state, None).unwrap_err();
         assert_eq!(err.code(), "bad_delta");
+    }
+
+    #[test]
+    fn from_game_inverts_build() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [2u32, 5, 17] {
+            let g = ndg_graph::generators::random_connected(n as usize, 0.4, &mut rng, 0.0..4.0);
+            let edges: Vec<_> = g.edges().map(|(_, e)| (e.u.0, e.v.0, e.w)).collect();
+            let players = (0..3u32)
+                .map(|i| (i % n, (i + 1) % n))
+                .filter(|(s, t)| s != t)
+                .collect();
+            for spec in [
+                WireGame::Broadcast {
+                    n: n as usize,
+                    root: n - 1,
+                    edges: edges.clone(),
+                },
+                WireGame::General {
+                    n: n as usize,
+                    edges,
+                    players,
+                },
+            ] {
+                assert_eq!(WireGame::from_game(&built(&spec), None), spec);
+            }
+        }
+    }
+
+    /// The wire-form reference for [`apply_delta`]: the op applied to the
+    /// spec's lists, the spec rebuilt, and the carried paths remapped,
+    /// with stranded and new players routed on the rebuilt game.
+    fn wire_step(
+        op: DeltaOp,
+        spec: &mut WireGame,
+        paths: &mut Vec<Vec<EdgeId>>,
+        b: &mut Option<Vec<f64>>,
+    ) -> Result<NetworkDesignGame, WireError> {
+        let mut route = Vec::new();
+        match (op, &mut *spec) {
+            (
+                DeltaOp::Patch { edge, w },
+                WireGame::Broadcast { edges, .. } | WireGame::General { edges, .. },
+            ) => edges[edge as usize].2 = w,
+            (
+                DeltaOp::Fail { edge },
+                WireGame::Broadcast { edges, .. } | WireGame::General { edges, .. },
+            ) => {
+                edges.remove(edge as usize);
+                if let Some(b) = b {
+                    b.remove(edge as usize);
+                }
+                for (i, p) in paths.iter_mut().enumerate() {
+                    if p.contains(&EdgeId(edge)) {
+                        route.push(i);
+                    }
+                    p.iter_mut()
+                        .filter(|id| id.0 > edge)
+                        .for_each(|id| id.0 -= 1);
+                }
+            }
+            (DeltaOp::Join { source, terminal }, WireGame::General { players, .. }) => {
+                players.push((source, terminal));
+                route.push(paths.len());
+                paths.push(Vec::new());
+            }
+            other => panic!("no reference for {other:?}"),
+        }
+        let (game, _) = spec.build()?;
+        let g = game.graph();
+        for i in route {
+            let p = game.players()[i];
+            paths[i] = dijkstra(g, p.source).path_to(g, p.terminal).unwrap();
+        }
+        Ok(game)
+    }
+
+    /// Every delta applied to the built game equals the same delta applied
+    /// to the wire spec and rebuilt: the game (nodes, root, players, edge
+    /// endpoints and weight bits, neighbour lists in order), the start
+    /// state, the subsidies, and the error when the op is refused.
+    #[test]
+    fn carried_instances_equal_rebuilt_ones_over_random_delta_streams() {
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(4..14usize);
+            let g = ndg_graph::generators::random_connected(n, 0.3, &mut rng, 0.5..3.0);
+            let general = seed % 2 == 1;
+            let mut game = if general {
+                let players = (0..3)
+                    .map(|_| {
+                        let s = rng.random_range(0..n as u32);
+                        Player {
+                            source: NodeId(s),
+                            terminal: NodeId((s + rng.random_range(1..n as u32)) % n as u32),
+                        }
+                    })
+                    .collect();
+                NetworkDesignGame::new(g, players).unwrap()
+            } else {
+                NetworkDesignGame::broadcast(g, NodeId(0)).unwrap()
+            };
+            let tree = ndg_graph::kruskal(game.graph()).unwrap();
+            let mut state = State::from_tree(&game, &tree).unwrap().0;
+            let mut b = (seed % 3 == 0).then(|| vec![0.125; game.graph().edge_count()]);
+            for k in 0..40 {
+                let m = game.graph().edge_count() as u32;
+                let op = match rng.random_range(0..8u32) {
+                    0 if m > 1 => DeltaOp::Fail {
+                        edge: rng.random_range(0..m),
+                    },
+                    1 if general => DeltaOp::Join {
+                        source: rng.random_range(0..n as u32),
+                        terminal: rng.random_range(0..n as u32),
+                    },
+                    _ => DeltaOp::Patch {
+                        edge: rng.random_range(0..m),
+                        w: f64::from(rng.random_range(0..=12u32)) / 4.0,
+                    },
+                };
+                let ctx = format!("seed {seed}, op {k}: {op:?}");
+                let mut spec = WireGame::from_game(&game, None);
+                let (mut paths, mut wire_b) = (state_paths(&state), b.clone());
+                let carried = apply_delta(op, &game, &state, b.as_deref());
+                // The reference has no coincident-endpoint check of its own.
+                let coincident =
+                    matches!(op, DeltaOp::Join { source, terminal } if source == terminal);
+                let rebuilt = if coincident {
+                    Err(WireError::BadDelta(String::new()))
+                } else {
+                    wire_step(op, &mut spec, &mut paths, &mut wire_b)
+                };
+                let (patched, start, patched_b) = match (carried, rebuilt) {
+                    (Ok(c), Ok(r)) => {
+                        assert_eq!(game_bits(&c.0), game_bits(&r), "{ctx}");
+                        let want = State::new(&r, paths).unwrap();
+                        let m = r.graph().edge_count();
+                        assert_eq!(state_bits(&c.1, m), state_bits(&want, m), "{ctx}");
+                        assert_eq!(c.2, wire_b, "{ctx}");
+                        c
+                    }
+                    (Err(a), Err(b)) => {
+                        if !coincident {
+                            assert_eq!(a, b, "{ctx}");
+                        }
+                        continue;
+                    }
+                    (a, b) => panic!("{ctx}: carried {:?} vs rebuilt {:?}", a.err(), b.err()),
+                };
+                // Carry the converged state on, as a session does.
+                let zero = SubsidyAssignment::zero(patched.graph());
+                let res = best_response_dynamics_budgeted(
+                    &patched,
+                    start,
+                    &zero,
+                    MoveOrder::RoundRobin,
+                    64,
+                    &Budget::unlimited(),
+                )
+                .unwrap();
+                (game, state, b) = (patched, res.state, patched_b);
+            }
+        }
+    }
+
+    /// Node count, root, players, every edge's endpoints and weight bits,
+    /// and every neighbour list in order.
+    #[allow(clippy::type_complexity)]
+    fn game_bits(
+        game: &NetworkDesignGame,
+    ) -> (
+        Option<NodeId>,
+        Vec<Player>,
+        Vec<(NodeId, NodeId, u64)>,
+        Vec<Vec<(NodeId, EdgeId)>>,
+    ) {
+        let g = game.graph();
+        (
+            game.root(),
+            game.players().to_vec(),
+            g.edges().map(|(_, e)| (e.u, e.v, e.w.to_bits())).collect(),
+            g.nodes().map(|x| g.neighbors(x).to_vec()).collect(),
+        )
+    }
+
+    /// A state's paths and its usage of each of `m` edges.
+    fn state_bits(state: &State, m: usize) -> (Vec<Vec<EdgeId>>, Vec<u32>) {
+        (
+            state_paths(state),
+            (0..m as u32).map(|e| state.usage(EdgeId(e))).collect(),
+        )
+    }
+
+    #[test]
+    fn journal_ops_never_stalls_another_sessions_lookup() {
+        let table = Arc::new(SessionTable::new(SessionConfig::default()));
+        let s1 = table.open(base_session()).unwrap();
+        let s2 = table.open(base_session()).unwrap();
+        // s1 is mid-step: its lock is held.
+        let sess1 = table.get(&s1).unwrap();
+        let held = sess1.lock().unwrap();
+        let sum = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || table.journal_ops())
+        };
+        // Give the sum time to take the table mutex.
+        let t0 = Instant::now();
+        while table.inner.try_lock().is_ok() && t0.elapsed() < Duration::from_millis(300) {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = mpsc::channel();
+        let lookup = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || tx.send(table.get(&s2).is_ok()))
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(2));
+        drop(held);
+        assert_eq!(
+            answered,
+            Ok(true),
+            "a lookup waited for another session's step"
+        );
+        assert_eq!(sum.join().unwrap(), 0);
+        lookup.join().unwrap().unwrap();
     }
 
     #[test]
